@@ -139,6 +139,14 @@ func run() int {
 			}
 		}
 	}
+	if *tee {
+		var checks, probes uint64
+		for _, r := range rep.Results {
+			checks += r.WallChecks
+			probes += r.WallProbes
+		}
+		fmt.Printf("wall: %d checks, %d full probes\n", checks, probes)
+	}
 	fmt.Printf("campaign: %d combos in %.1fs\n", len(rep.Results), time.Since(start).Seconds())
 	for _, r := range rep.Results {
 		for _, f := range r.Failures {

@@ -290,6 +290,7 @@ type Stats struct {
 	DegradedCalls    uint64 // SBI calls answered by the degraded-mode fallback
 
 	WallChecks uint64 // Dorami-wall invariant checks passed after world switches
+	WallProbes uint64 // full CheckWall probes those checks ran (wall-memo misses)
 }
 
 // HartCtx is the monitor's per-hart state.
@@ -318,6 +319,11 @@ type HartCtx struct {
 
 	// mprvActive mirrors whether the MPRV emulation window is installed.
 	mprvActive bool
+
+	// wallMemo remembers, per world, the physical PMP content id on which
+	// the full wall check last passed (see checkWallAfterSwitchMemo). Not
+	// carried across forks.
+	wallMemo [2]wallVerdict
 
 	// protFile holds only the monitor's and policy's protections (self,
 	// virtual devices, policy slots, then allow-all); it is rebuilt with
@@ -588,6 +594,7 @@ func (m *Monitor) TotalStats() Stats {
 		t.WatchdogFires += c.Stats.WatchdogFires
 		t.DegradedCalls += c.Stats.DegradedCalls
 		t.WallChecks += c.Stats.WallChecks
+		t.WallProbes += c.Stats.WallProbes
 	}
 	return t
 }

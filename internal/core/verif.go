@@ -48,6 +48,11 @@ func (m *Monitor) VerifWorldSwitch(ctx *HartCtx, to World) {
 	m.switchWorld(ctx, to)
 }
 
+// VerifWallAfterSwitch runs the world-switch wall check — CheckWall
+// memoized on the PMP content id — without recording a fault or halting,
+// so harnesses can hold it against the full CheckWall.
+func (m *Monitor) VerifWallAfterSwitch(ctx *HartCtx) error { return m.checkWallAfterSwitchMemo(ctx) }
+
 // ReinstallPMP reprograms the physical PMP file for ctx's current world;
 // policies call it when their rules change outside a world switch.
 func (m *Monitor) ReinstallPMP(ctx *HartCtx) { m.installPMP(ctx, ctx.World()) }

@@ -16,9 +16,9 @@ import (
 // M-mode too, so even a hosted firmware that somehow reached physical
 // M-mode privileges could not read or corrupt monitor state; only the
 // monitor's own Force* reprogramming path (the hardware reset analogue)
-// can touch the entry. CheckWall re-derives the invariant from the live
-// PMP file after every world switch; a breach means the monitor can no
-// longer trust its own state and the machine is halted.
+// can touch the entry. The invariant is re-derived from the live PMP file
+// after every world switch (checkWallAfterSwitchMemo); a breach means the
+// monitor can no longer trust its own state and the machine is halted.
 
 // wallCfg is the exact cfg byte the wall entry must hold: locked, NAPOT
 // address matching, no permissions.
@@ -27,7 +27,8 @@ const wallCfg = pmp.CfgL | pmp.ANapot<<3
 // CheckWall asserts the Dorami-wall invariant on one hart's physical PMP
 // file: the self-protection entry is present, locked, correctly sized,
 // and actually denies access to monitor memory in every simulated mode.
-// Returns nil when the wall holds.
+// Returns nil when the wall holds. It always runs the full behavioural
+// probe; chaos, fault injection and the TEE fuzzer use it as their oracle.
 func (m *Monitor) CheckWall(ctx *HartCtx) error {
 	phys := ctx.Hart.CSR.PMP
 	if phys.NumEntries() <= pmpSelf {
@@ -61,6 +62,39 @@ func (m *Monitor) CheckWall(ctx *HartCtx) error {
 	return nil
 }
 
+// wallVerdict is one world's wall memo: the physical PMP content id on
+// which the full check passed.
+type wallVerdict struct {
+	id uint64
+	ok bool
+}
+
+// checkWallAfterSwitchMemo is the world-switch form of CheckWall, memoized
+// per world on the physical PMP file's content id. The memo is sound
+// because CheckWall's verdict is a pure function of the file's entries,
+// and within one file's lifetime equal ids mean equal entries
+// (pmp.File.Epoch); a monitor that alternates between the firmware and OS
+// views therefore runs the full check once per view. This is Dorami's
+// argument for trusting a locked entry between checks, made exact. The ids
+// stay unique per hart across Reset and Restore (pmp.File.AdvanceEpoch),
+// and a fork starts with an empty memo, so no stale verdict can match a
+// replaced file. A memo hit still compares the live wall entry.
+func (m *Monitor) checkWallAfterSwitchMemo(ctx *HartCtx) error {
+	phys := ctx.Hart.CSR.PMP
+	memo := &ctx.wallMemo[ctx.World()]
+	if memo.ok && memo.id == phys.Epoch() &&
+		phys.Cfg(pmpSelf) == wallCfg && phys.Addr(pmpSelf) == pmp.NAPOTAddr(MiralisBase, MiralisSize) {
+		return nil
+	}
+	ctx.Stats.WallProbes++
+	if err := m.CheckWall(ctx); err != nil {
+		*memo = wallVerdict{}
+		return err
+	}
+	*memo = wallVerdict{id: phys.Epoch(), ok: true}
+	return nil
+}
+
 // MonitorStateHash fingerprints the monitor state the Dorami wall
 // protects: the boot firmware image copy and the per-hart boot snapshots
 // containment restarts from. Nothing the hosted firmware or OS does may
@@ -89,7 +123,7 @@ func (m *Monitor) MonitorStateHash() uint64 {
 // WallChecks == WorldSwitches); a failing one records a FaultWallBreach
 // and halts the machine.
 func (m *Monitor) checkWallAfterSwitch(ctx *HartCtx) {
-	if err := m.CheckWall(ctx); err != nil {
+	if err := m.checkWallAfterSwitchMemo(ctx); err != nil {
 		f := m.newFault(ctx, FaultWallBreach, err.Error())
 		m.recordFault(f)
 		m.halt(ctx, "monitor wall breached: "+err.Error())

@@ -206,13 +206,13 @@ func (m *Machine) Reset(pc uint64) {
 		h.HaltReason = ""
 		h.Cycles, h.Instret, h.SInstret = 0, 0, 0
 		h.resValid, h.resAddr = false, 0
-		oldEpoch := h.CSR.PMP.Epoch()
+		oldEpoch := h.CSR.PMP.MaxEpoch()
 		h.CSR = newCSRFile(h.Cfg)
 		// Reset is a power cycle: PMP locks are legitimately cleared. The
-		// mutation epoch, however, must stay monotonic per hart — a fresh
-		// file restarts at zero, and external caches (TLB, decode) tag
-		// entries with fill-time epochs that a rewound counter could
-		// eventually re-validate.
+		// content ids, however, must stay unique per hart — a fresh file
+		// restarts at zero, and external caches (TLB, superblocks, the
+		// monitor's wall memo) tag entries with fill-time ids that a
+		// rewound counter could eventually re-validate.
 		h.CSR.PMP.AdvanceEpoch(oldEpoch + 1)
 		h.inSlice, h.park = false, parkNone
 		h.sb.armed = false

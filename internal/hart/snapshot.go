@@ -79,14 +79,14 @@ func (h *Hart) Restore(s *Snapshot) {
 	h.HaltReason = s.HaltReason
 	h.resValid = s.ResValid
 	h.resAddr = s.ResAddr
-	curEpoch := h.CSR.PMP.Epoch()
+	curEpoch := h.CSR.PMP.MaxEpoch()
 	h.CSR = s.CSR.clone()
 	h.CSR.cfg = cfg
 	// The restored PMP clone carries the snapshot-time fast flag and a
-	// rewound mutation epoch. Advance the epoch past the pre-restore value
-	// so it stays monotonic per hart (stale cache entries tagged with a
-	// since-reused epoch can then never be re-validated), reapply the mode,
-	// and drop every host cache.
+	// cleared content identity. Advance its id past every id the
+	// pre-restore file issued so ids stay unique per hart (stale cache
+	// entries tagged with a reused id could otherwise be re-validated),
+	// reapply the mode, and drop every host cache.
 	h.CSR.PMP.AdvanceEpoch(curEpoch + 1)
 	h.CSR.PMP.SetFast(h.fast.on)
 	h.flushDecode()

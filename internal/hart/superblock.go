@@ -15,13 +15,14 @@ package hart
 //
 //  1. Entry guard. A block is only dispatched when its guard vector
 //     matches: decode-page generation (catches self-modifying code),
-//     privilege mode, satp, and PMP epoch (catch remapping and
-//     reprotection). The dispatch point itself sits after Step's
-//     pending-interrupt check, so a block never starts with a deliverable
-//     interrupt pending. Data accesses re-validate per access against a
-//     TLB key (mmu.Key) hoisted once per dispatch — sound because every
-//     instruction that could change it (CSR writes, xRET, traps) is a
-//     block terminator.
+//     privilege mode, satp, and PMP content id (catch remapping and
+//     reprotection; a return to a PMP view seen before gets its id back,
+//     so a world switch does not miss). The dispatch point itself sits
+//     after Step's pending-interrupt check, so a block never starts with
+//     a deliverable interrupt pending. Data accesses re-validate per
+//     access against a TLB key (mmu.Key) hoisted once per dispatch —
+//     sound because every instruction that could change it (CSR writes,
+//     xRET, traps) is a block terminator.
 //
 //  2. Cycle-budget headroom. Blocks stop before the point where a
 //     per-instruction scheduler would have intervened: under SchedPar the
@@ -210,7 +211,7 @@ func (h *Hart) sbRevalidate(sb *sblock) bool {
 // block terminator (jal/jalr/branch), the page end, or sbMaxOps. Every
 // op's encoding is validated here, so the compiled ALU closures are
 // infallible; every op's PMP execute permission is checked here and
-// revalidated wholesale by the pmpEpoch guard.
+// revalidated wholesale by the pmpEpoch (PMP content id) guard.
 func (h *Hart) sbTranslate(dp *decPage, slot int) *sblock {
 	sb := &sblock{
 		gen:      dp.gen,

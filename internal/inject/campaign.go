@@ -115,6 +115,9 @@ type ComboResult struct {
 	// switches (the campaign fails the combo if any world switch skipped
 	// or failed its check).
 	WallChecks uint64
+	// WallProbes counts the full behavioural wall probes those checks ran;
+	// the rest were answered by the wall memo.
+	WallProbes uint64
 
 	// HashIntact reports the sandbox invariant: the policy's boot-image
 	// hash and the OS text window never changed (always true for non-
@@ -127,10 +130,10 @@ type ComboResult struct {
 }
 
 func (r *ComboResult) String() string {
-	return fmt.Sprintf("%-12s %-7s %-9s inj=%-3d contained=%-3d reported=%-3d wdog=%-2d restarts=%-2d degraded=%-3d rebuilds=%-2d wall=%-4d fail=%d",
+	return fmt.Sprintf("%-12s %-7s %-9s inj=%-3d contained=%-3d reported=%-3d wdog=%-2d restarts=%-2d degraded=%-3d rebuilds=%-2d wall=%-4d probes=%-3d fail=%d",
 		r.Platform, r.Firmware, r.Policy, r.Injected, r.Contained, r.Reported,
 		r.WatchdogFires, r.FirmwareRestarts, r.DegradedCalls, r.Rebuilds,
-		r.WallChecks, len(r.Failures))
+		r.WallChecks, r.WallProbes, len(r.Failures))
 }
 
 // Report aggregates a campaign.
@@ -412,9 +415,14 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 		res.FirmwareRestarts += st.FirmwareRestarts
 		res.DegradedCalls += st.DegradedCalls
 		res.WallChecks += st.WallChecks
+		res.WallProbes += st.WallProbes
 		if st.WallChecks != st.WorldSwitches {
 			res.Failures = append(res.Failures, fmt.Sprintf(
 				"wall checked on %d of %d world switches", st.WallChecks, st.WorldSwitches))
+		}
+		if st.WallProbes > st.WallChecks {
+			res.Failures = append(res.Failures, fmt.Sprintf(
+				"%d full wall probes for %d wall checks", st.WallProbes, st.WallChecks))
 		}
 		if cs.sandbox != nil {
 			if cs.sandbox.BootHash != cs.vmHash || osTextHash(cs.sys) != cs.osHash {
@@ -498,5 +506,10 @@ func runCombo(cfg CampaignConfig, plat, fw, pol string, seed int64) (res *ComboR
 		}
 	}
 	finishCombo()
+	if cfg.TEE && res.WallProbes < 1 {
+		// The memo must not have answered every check: some probe ran.
+		res.Failures = append(res.Failures, fmt.Sprintf(
+			"no full wall probe in %d wall checks", res.WallChecks))
+	}
 	return res, nil
 }

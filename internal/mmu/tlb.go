@@ -14,9 +14,11 @@ import (
 //
 // Validity is established by comparison rather than eager invalidation:
 // every entry is tagged with the satp value, effective privilege, SUM/MXR
-// bits, the PMP file's mutation epoch, and this TLB's flush generation. A
-// lookup under different state simply misses, so satp rewrites, privilege
-// changes, mstatus edits, and PMP reprogramming all invalidate for free.
+// bits, the PMP file's content id (pmp.File.Epoch), and this TLB's flush
+// generation. A lookup under different state simply misses, so satp
+// rewrites, privilege changes, mstatus edits, and PMP reprogramming all
+// invalidate for free, and an entry filled under a PMP view is valid
+// again when the hart returns to that view.
 // Explicit flushes (sfence.vma, snapshot restore) bump the generation —
 // O(1). Software edits of page-table memory are caught by the bus page
 // watch: the hart watches every page a cached walk read its PTEs from and
@@ -39,7 +41,7 @@ type tlbEntry struct {
 	vpn    uint64
 	satp   uint64
 	hgatp  uint64 // G-stage root at fill (zero for single-stage entries)
-	epoch  uint64 // pmp.File.Epoch at fill
+	epoch  uint64 // pmp.File.Epoch (content id) at fill
 	gen    uint64
 	paPage uint64
 }
@@ -75,7 +77,7 @@ func (t *TLB) Flush() { t.gen++ }
 type Key struct {
 	Satp  uint64
 	Hgatp uint64 // zero unless V
-	Epoch uint64 // pmp.File.Epoch at lookup
+	Epoch uint64 // pmp.File.Epoch (content id) at lookup
 	Priv  rv.Mode
 	SUM   bool
 	MXR   bool

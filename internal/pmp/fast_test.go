@@ -109,26 +109,6 @@ func TestCheckFastAfterMutation(t *testing.T) {
 	}
 }
 
-// TestEpochAdvances checks that every mutator bumps the epoch so external
-// caches keyed on it (the hart's software TLB) observe PMP reprogramming.
-func TestEpochAdvances(t *testing.T) {
-	f := NewFile(4)
-	e := f.Epoch()
-	step := func(name string, fn func()) {
-		fn()
-		if f.Epoch() <= e {
-			t.Fatalf("%s did not advance epoch", name)
-		}
-		e = f.Epoch()
-	}
-	step("SetAddr", func() { f.SetAddr(0, 0x100) })
-	step("SetCfg", func() { f.SetCfg(0, CfgR|ATor<<3) })
-	step("ForceAddr", func() { f.ForceAddr(1, 0x200) })
-	step("ForceCfg", func() { f.ForceCfg(1, CfgR|CfgW|ATor<<3) })
-	step("SetCfgReg", func() { f.SetCfgReg(0, 0x0f0f) })
-	step("Reset", func() { f.Reset() })
-}
-
 // BenchmarkCheck compares the scan and flattened lookups on a file shaped
 // like the monitor's world-switch PMP programming (a few active regions).
 func BenchmarkCheck(b *testing.B) {

@@ -60,36 +60,33 @@ type File struct {
 	cfg  [MaxEntries]byte
 	addr [MaxEntries]uint64
 
-	// Decoded-region cache for the access-check hot path; rebuilt lazily
-	// after any register write.
-	regLo    [MaxEntries]uint64
-	regLast  [MaxEntries]uint64
-	regOK    [MaxEntries]bool
-	regDirty bool
+	// Tables derived from the entries for the access-check hot path; valid
+	// whenever dirty is false. All state lives in fixed arrays so File
+	// copies (snapshot clone) stay self-contained.
+	decoded
+	lastSeg int // hint: segment that resolved the previous check
 
-	// epoch counts register mutations. External caches that embed a
-	// translation or permission decision derived from this file (the
-	// hart's software TLB) tag their entries with the epoch at fill time
-	// and treat any mismatch as a miss, which makes PMP reprogramming —
-	// including the monitor's ForceCfg/ForceAddr world-switch writes —
-	// an O(1) global invalidation with no explicit hook.
-	epoch uint64
+	// Content identity. id names the current entries: within one file's
+	// lifetime two equal ids mean equal cfg/addr contents, and differing
+	// contents get differing ids. External caches that embed a translation
+	// or permission decision derived from this file (the hart's software
+	// TLB, superblock guards, the monitor's wall memo) tag their entries
+	// with the id at fill time and treat any mismatch as a miss. A world
+	// switch that reprograms the file back to a view it has seen before
+	// therefore gets that view's id, decoded tables and cached decisions
+	// back, while any real change is an O(1) global invalidation with no
+	// explicit hook.
+	//
+	// A write only sets dirty; the next Check or Epoch identifies the
+	// entries against views, the few most recently seen contents, and
+	// either restores the matching view or issues a fresh id above every
+	// id issued before (issued is the high-water mark).
+	dirty  bool
+	id     uint64
+	issued uint64
+	views  *viewCache // allocated on first identification
 
-	// Flattened-range cache: the address space partitioned into segments
-	// on which the "lowest-numbered matching entry" function is constant.
-	// segBase[k] is the first address of segment k (segment k ends where
-	// segment k+1 begins, the last one at the top of the address space);
-	// segOwner[k] is the lowest-numbered entry covering that segment, or
-	// -1 when none does. An access's verdict is decided by the minimum
-	// owner over the segments it spans (see checkFast), replacing the
-	// linear TOR/NAPOT scan with a binary search. All state lives in
-	// fixed arrays so File copies (snapshot clone) stay self-contained.
-	fast     bool
-	segDirty bool
-	nSeg     int
-	lastSeg  int // hint: segment that resolved the previous check
-	segBase  [2*MaxEntries + 2]uint64
-	segOwner [2*MaxEntries + 2]int8
+	fast bool
 
 	// Perf counts access checks. Plain counters: Check runs on every
 	// simulated access, single-goroutine per file, and metrics snapshots
@@ -100,50 +97,145 @@ type File struct {
 	}
 }
 
-// NewFile returns a PMP file with n implemented entries (0..64).
+// decoded is everything Check derives from the entries.
+//
+// Decoded regions: entry i covers the inclusive range [regLo[i],
+// regLast[i]] when regOK[i].
+//
+// Flattened ranges: the address space partitioned into segments on which
+// the "lowest-numbered matching entry" function is constant. segBase[k]
+// is the first address of segment k (segment k ends where segment k+1
+// begins, the last one at the top of the address space); segOwner[k] is
+// the lowest-numbered entry covering that segment, or -1 when none does.
+// An access's verdict is decided by the minimum owner over the segments
+// it spans (see checkFast), replacing the linear TOR/NAPOT scan with a
+// binary search.
+type decoded struct {
+	regLo    [MaxEntries]uint64
+	regLast  [MaxEntries]uint64
+	regOK    [MaxEntries]bool
+	nSeg     int
+	segBase  [2*MaxEntries + 2]uint64
+	segOwner [2*MaxEntries + 2]int8
+}
+
+// numViews bounds the view cache. A monitored hart cycles through at most
+// three physical PMP contents in steady state: the firmware world, the OS
+// world, and the firmware world's MPRV-emulation window.
+const numViews = 3
+
+// view is one interned content: the entries compared on lookup (in full;
+// equal hashes would not be enough), the id issued for them, and their
+// decoded tables.
+type view struct {
+	used uint64 // recency stamp; 0 marks an empty slot
+	id   uint64
+	cfg  [MaxEntries]byte
+	addr [MaxEntries]uint64
+	decoded
+}
+
+type viewCache struct {
+	clock uint64
+	v     [numViews]view
+}
+
+// NewFile returns a PMP file with n implemented entries (0..64). Its
+// entries are all zero, named by id 0.
 func NewFile(n int) *File {
 	if n < 0 || n > MaxEntries {
 		panic(fmt.Sprintf("pmp: invalid entry count %d", n))
 	}
-	return &File{n: n, regDirty: true, segDirty: true}
+	f := &File{n: n}
+	// The decoded tables of all-OFF entries: one segment, owned by none.
+	f.nSeg, f.segOwner[0] = 1, -1
+	return f
 }
 
-// markDirty records a register mutation: both decode caches go stale and
-// the epoch advances so external caches keyed on it miss.
-func (f *File) markDirty() {
-	f.regDirty = true
-	f.segDirty = true
-	f.epoch++
+// markDirty records a register write: the id and the decoded tables go
+// stale until the next identify.
+func (f *File) markDirty() { f.dirty = true }
+
+// Epoch returns the content id of the entries. Within one file's lifetime
+// it is equal for equal contents and differs for differing ones, as far
+// back as the view cache remembers: a return to a view evicted from it
+// gets a fresh id, which costs external caches only a refill.
+func (f *File) Epoch() uint64 {
+	if f.dirty {
+		f.identify()
+	}
+	return f.id
 }
 
-// Epoch returns the mutation counter. It increases on every cfg/addr
-// write (locked-entry writes that hardware ignores may still bump it;
-// spurious bumps only cost external caches a refill, never correctness).
-func (f *File) Epoch() uint64 { return f.epoch }
+// identify names the current entries: a view-cache hit restores that
+// view's id and decoded tables, a miss issues a fresh id, rebuilds the
+// tables and interns them in place of the least recently used view.
+func (f *File) identify() {
+	f.dirty = false
+	c := f.views
+	if c == nil {
+		c = new(viewCache)
+		f.views = c
+	}
+	c.clock++
+	victim := &c.v[0]
+	for i := range c.v {
+		v := &c.v[i]
+		if v.used != 0 && v.cfg == f.cfg && v.addr == f.addr {
+			v.used = c.clock
+			f.id = v.id
+			f.decoded = v.decoded
+			return
+		}
+		if v.used < victim.used {
+			victim = v
+		}
+	}
+	f.issued++
+	f.id = f.issued
+	f.refreshRegions()
+	f.rebuildSegs()
+	*victim = view{used: c.clock, id: f.id, cfg: f.cfg, addr: f.addr, decoded: f.decoded}
+}
 
-// CloneSnapshot returns a deep copy with the mutation epoch cleared. The
-// epoch is host-cache bookkeeping, not architectural state: two snapshots
-// of the same architectural state must compare equal no matter when they
-// were taken, and Restore re-derives a monotonic epoch on the live file
-// (see AdvanceEpoch) rather than trusting a snapshot-time value.
+// CloneSnapshot returns a deep copy with the content identity cleared:
+// id and high-water mark zero, no view cache. Identity is host-cache
+// bookkeeping, not architectural state: two snapshots of the same
+// architectural state must compare equal no matter when they were taken,
+// and Restore re-derives a monotonic id on the live file (see
+// AdvanceEpoch) rather than trusting a snapshot-time value.
 func (f *File) CloneSnapshot() *File {
 	c := *f
-	c.epoch = 0
+	c.id, c.issued, c.views = 0, 0, nil
 	return &c
 }
 
-// AdvanceEpoch raises the mutation counter to at least e. Machine reset
-// and snapshot restore replace or rewind a hart's PMP file; carrying the
-// epoch forward through those events keeps it monotonic per hart, so an
-// external cache entry tagged with an epoch value can never be
+// AdvanceEpoch drops the view cache and raises the id so that the current
+// id and every id issued from now on are at least e, and above every id
+// issued before. Machine reset and snapshot restore replace or rewind a
+// hart's PMP file; passing the old file's MaxEpoch()+1 keeps ids unique
+// per hart, so an external cache entry tagged with an id can never be
 // re-validated by a different (reset or restored) file that happens to
-// reuse the number. Raising the counter never invalidates anything
-// incorrectly — a mismatch is always just a refill.
+// reuse the number. Raising the id never invalidates anything incorrectly
+// — a mismatch is always just a refill.
 func (f *File) AdvanceEpoch(e uint64) {
-	if f.epoch < e {
-		f.epoch = e
+	f.views = nil
+	if f.dirty {
+		// The entries have no id yet; the next identify issues one.
+		if e > f.issued+1 {
+			f.issued = e - 1
+		}
+		return
+	}
+	if f.id < e {
+		f.id = max(e, f.issued+1)
+		f.issued = f.id
 	}
 }
+
+// MaxEpoch returns the highest id the file has issued: every id it has
+// named its contents by so far is at most this value.
+func (f *File) MaxEpoch() uint64 { return f.issued }
 
 // SetFast selects the flattened-range lookup (true) or the architectural
 // linear scan (false) for Check. Both produce identical verdicts — the
@@ -289,19 +381,16 @@ const (
 	PartialMatch                    // some but not all bytes match — always faults
 )
 
-// refreshRegions rebuilds the decoded-region cache.
+// refreshRegions rebuilds the decoded regions.
 func (f *File) refreshRegions() {
 	for i := 0; i < f.n; i++ {
 		f.regLo[i], f.regLast[i], f.regOK[i] = f.Region(i)
 	}
-	f.regDirty = false
 }
 
 // matchEntry classifies an access of size bytes at addr against entry i.
+// The decoded tables must be current (Check identifies first).
 func (f *File) matchEntry(i int, addr uint64, size int) MatchResult {
-	if f.regDirty {
-		f.refreshRegions()
-	}
 	lo, last, ok := f.regLo[i], f.regLast[i], f.regOK[i]
 	if !ok {
 		return NoMatch
@@ -338,6 +427,9 @@ func (f *File) matchEntry(i int, addr uint64, size int) MatchResult {
 //     entry is implemented.
 func (f *File) Check(addr uint64, size int, acc mem.AccessType, mode rv.Mode) bool {
 	f.Perf.Checks++
+	if f.dirty {
+		f.identify()
+	}
 	if f.fast {
 		if allowed, ok := f.checkFast(addr, size, acc, mode); ok {
 			f.Perf.FastHits++
@@ -384,11 +476,8 @@ func (f *File) checkScan(addr uint64, size int, acc mem.AccessType, mode rv.Mode
 // its last (omitted when the region reaches the top of the address space),
 // plus 0; the owner of each resulting segment is the lowest-numbered entry
 // covering it. With n ≤ 64 entries the point set is tiny, so a simple
-// insertion sort avoids any allocation.
+// insertion sort avoids any allocation. The regions must be current.
 func (f *File) rebuildSegs() {
-	if f.regDirty {
-		f.refreshRegions()
-	}
 	var pts [2*MaxEntries + 2]uint64
 	np := 1 // pts[0] = 0
 	for i := 0; i < f.n; i++ {
@@ -429,7 +518,6 @@ func (f *File) rebuildSegs() {
 		f.nSeg++
 	}
 	f.lastSeg = 0
-	f.segDirty = false
 }
 
 // checkFast resolves the access via the flattened segment table. It returns
@@ -446,9 +534,6 @@ func (f *File) checkFast(addr uint64, size int, acc mem.AccessType, mode rv.Mode
 	aLast := addr + uint64(size) - 1
 	if aLast < addr {
 		return false, false // wrap-around: let the scan handle it
-	}
-	if f.segDirty {
-		f.rebuildSegs()
 	}
 	// Find the segment containing addr: greatest k with segBase[k] <= addr
 	// (segment 0 starts at 0, so k is well-defined). Consecutive checks
@@ -521,18 +606,26 @@ func (f *File) Snapshot() (cfg []byte, addr []uint64) {
 }
 
 // Clone returns an independent copy of the file: entries (locked ones
-// included), lock state, and every derived cache. All File state lives in
-// fixed arrays, so a value copy is self-contained; cloned files diverge
-// freely afterwards. Monitor forks use this to duplicate virtual PMP and
-// protection files onto a child machine.
+// included), lock state, content identity, and every derived cache.
+// Monitor forks use this to duplicate virtual PMP and protection files
+// onto a child machine. The view cache is deep-copied, not shared: the
+// copies issue ids from the same high-water mark once they diverge, so a
+// shared cache would let one of them name its contents by an id the other
+// issued for different contents.
 func (f *File) Clone() *File {
 	c := *f
+	if f.views != nil {
+		v := *f.views
+		c.views = &v
+	}
 	return &c
 }
 
-// Reset clears all entries, including locked ones (power-on reset).
+// Reset clears all entries, including locked ones (power-on reset), and
+// drops the view cache.
 func (f *File) Reset() {
 	f.cfg = [MaxEntries]byte{}
 	f.addr = [MaxEntries]uint64{}
+	f.views = nil
 	f.markDirty()
 }

@@ -321,10 +321,10 @@ func TestNewFilePanics(t *testing.T) {
 	NewFile(65)
 }
 
-// Epoch regression tests: the mutation epoch is host-cache bookkeeping and
-// must be monotonic on a live file across resets and restores, while
-// snapshot copies normalize it away so architectural comparisons stay
-// bit-exact.
+// Epoch regression tests: the content id is host-cache bookkeeping; the
+// ids a live file issues must keep rising across resets and restores,
+// while snapshot copies normalize the identity away so architectural
+// comparisons stay bit-exact.
 
 func TestEpochAdvanceIsMonotonic(t *testing.T) {
 	f := NewFile(4)

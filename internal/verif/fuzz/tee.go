@@ -16,8 +16,9 @@ import (
 // independent shadow model after every operation. The shadow tracks what
 // each lifecycle transition *should* have done (slot states, donation
 // set, shared windows, launch measurements); any disagreement with the
-// policy's own view, any structural-invariant violation, or any crack in
-// the Dorami wall is a finding.
+// policy's own view, any structural-invariant violation, any crack in the
+// Dorami wall, or any disagreement between the memoized world-switch wall
+// check and the full probe is a finding.
 
 // TEEReport summarizes one fuzzdiff -tee run.
 type TEEReport struct {
@@ -137,8 +138,14 @@ func runTEECase(rep *TEEReport, mk func() *hart.Config, rng *rand.Rand, name str
 		if err := pol.CheckInvariants(); err != nil {
 			fail(op, "invariants: %v", err)
 		}
-		if err := mon.CheckWall(ctx); err != nil {
-			fail(op, "wall: %v", err)
+		full := mon.CheckWall(ctx)
+		if full != nil {
+			fail(op, "wall: %v", full)
+		}
+		// The world-switch form of the check, memoized on the PMP content
+		// id, must reach the same verdict as the full probe.
+		if memo := mon.VerifWallAfterSwitch(ctx); (memo == nil) != (full == nil) {
+			fail(op, "memoized wall check %v, full CheckWall %v", memo, full)
 		}
 	}
 
