@@ -11,13 +11,19 @@
 // (no escaped panics, every monitor halt leaves a fault record) is
 // checked.
 //
+// With -equiv N it runs the equivalence gate for the host-side mechanisms
+// that must not change a machine's end state: N machine cases per profile
+// swept across execution tiers, schedulers and forks, and N monitored
+// lockstep cases run with host caches on and off, every end state compared
+// field by field with hart.DiffImages.
+//
 // Usage:
 //
 //	go run ./cmd/fuzzdiff -smoke                 # fixed-seed CI gate
 //	go run ./cmd/fuzzdiff -budget 1000000        # long fuzzing run
 //	go run ./cmd/fuzzdiff -profile vf2 -seed 7   # one profile, chosen seed
 //	go run ./cmd/fuzzdiff -inject 50             # fault-injection mode
-//	go run ./cmd/fuzzdiff -sched both            # seq-vs-par scheduler equivalence
+//	go run ./cmd/fuzzdiff -equiv 1000            # tier/scheduler/fork equivalence gate
 //	go run ./cmd/fuzzdiff -hext -smoke           # hypervisor-extension lockstep gate
 package main
 
@@ -26,9 +32,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"time"
 
-	"govfm/internal/verif"
 	"govfm/internal/verif/fuzz"
 )
 
@@ -55,11 +61,8 @@ func run(args []string, out, errw io.Writer) int {
 		profile  = fs.String("profile", "all", "platform profile: vf2, p550, or all")
 		repros   = fs.String("repros", "internal/verif/fuzz/testdata/repros", "directory for minimized reproducer files")
 		injectN  = fs.Int("inject", 0, "fault-injection mode: run N randomized cases with containment armed instead of lockstep fuzzing")
-		fastpath = fs.String("fastpath", "on", "host acceleration caches: on, off, or both (both = equivalence mode, every case run fast and slow and compared)")
-		equivN   = fs.Int("equiv-cases", 1000, "cases per profile in -fastpath=both and -sched=both equivalence modes")
-		sched    = fs.String("sched", "", "scheduler equivalence: both = every multi-hart case run under the sequential and parallel schedulers and compared")
-		sb       = fs.String("superblock", "", "superblock equivalence: both = every case run on the interpreter, the fast path, and the superblock tier and compared")
-		forkN    = fs.Int("fork", 0, "fork-equivalence mode: run N cases per profile, each forked mid-run and compared bit-for-bit against a cold replay, swept across schedulers and fastpath settings")
+		fastpath = fs.String("fastpath", "on", "host acceleration caches for lockstep fuzzing: on or off")
+		equivN   = fs.Int("equiv", 0, "equivalence mode: N cases per profile swept across {interp, caches, superblocks} × {seq, par(q)} × {cold, fork}, plus N monitored lockstep cases with host caches on and off, every end state compared with hart.DiffImages")
 		hext     = fs.Bool("hext", false, "hypervisor-extension mode: H-biased lockstep fuzzing on the H-capable profiles (guest V-states, hfence, VS CSRs)")
 		hextN    = fs.Int("hext-cases", 500, "cases per profile in -hext mode")
 		teeN     = fs.Int("tee", 0, "TEE lifecycle mode: run N shadow-model fuzz cases per profile over the ACE confidential-compute FSM instead of lockstep fuzzing")
@@ -91,8 +94,8 @@ func run(args []string, out, errw io.Writer) int {
 		return runTEE(profiles, *seed, *teeN, out, errw)
 	}
 
-	if *forkN > 0 {
-		return runForkEquiv(profiles, *seed, *forkN, out, errw)
+	if *equivN > 0 {
+		return runEquiv(profiles, *seed, *equivN, out, errw)
 	}
 
 	if *server != "" {
@@ -103,31 +106,11 @@ func run(args []string, out, errw io.Writer) int {
 		return runInject(profiles, *seed, *injectN, out, errw)
 	}
 
-	switch *sched {
-	case "":
-	case "both":
-		return runSchedEquiv(profiles, *seed, *equivN, out, errw)
-	default:
-		fmt.Fprintf(errw, "fuzzdiff: unknown -sched %q (want both)\n", *sched)
-		return 2
-	}
-
-	switch *sb {
-	case "":
-	case "both":
-		return runSBEquiv(profiles, *seed, *equivN, out, errw)
-	default:
-		fmt.Fprintf(errw, "fuzzdiff: unknown -superblock %q (want both)\n", *sb)
-		return 2
-	}
-
 	switch *fastpath {
 	case "on", "off":
 		fuzz.DefaultFastPath = *fastpath == "on"
-	case "both":
-		return runEquiv(profiles, *seed, *equivN, out, errw)
 	default:
-		fmt.Fprintf(errw, "fuzzdiff: unknown -fastpath %q (want on, off, or both)\n", *fastpath)
+		fmt.Fprintf(errw, "fuzzdiff: unknown -fastpath %q (want on or off)\n", *fastpath)
 		return 2
 	}
 
@@ -148,15 +131,7 @@ func run(args []string, out, errw io.Writer) int {
 			len(findings), dt.Seconds(), float64(f.Steps)/dt.Seconds())
 		totalSteps += f.Steps
 		rawFindings += len(f.Findings)
-		for _, fd := range findings {
-			fmt.Fprintf(out, "\n=== DIVERGENCE (%s) ===\n%s\n", p, fd)
-			path, err := fuzz.WriteRepro(*repros, fd)
-			if err != nil {
-				fmt.Fprintf(errw, "fuzzdiff: writing reproducer: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(out, "minimized reproducer written to %s\n", path)
-		}
+		writeRepros(p, findings, *repros, out, errw)
 	}
 	fmt.Fprintf(out, "total: %d lockstep steps across %d profile(s) in %.1fs, %d divergence(s)\n",
 		totalSteps, len(profiles), time.Since(start).Seconds(), rawFindings)
@@ -164,6 +139,20 @@ func run(args []string, out, errw io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// writeRepros prints each minimized finding of profile p and writes its
+// reproducer file into dir.
+func writeRepros(p string, findings []*fuzz.Finding, dir string, out, errw io.Writer) {
+	for _, fd := range findings {
+		fmt.Fprintf(out, "\n=== DIVERGENCE (%s) ===\n%s\n", p, fd)
+		path, err := fuzz.WriteRepro(dir, fd)
+		if err != nil {
+			fmt.Fprintf(errw, "fuzzdiff: writing reproducer: %v\n", err)
+			continue
+		}
+		fmt.Fprintf(out, "minimized reproducer written to %s\n", path)
+	}
 }
 
 // runHext drives the hypervisor-extension mode: the same three-way
@@ -192,41 +181,11 @@ func runHext(profiles []string, seed int64, cases int, repros string, out, errw 
 		fmt.Fprintf(out, "%-12s hext: seed=%d cases=%d guest-cases=%d steps=%d coverage=%d findings=%d (%.1fs)\n",
 			p, seed+int64(i), f.Cases, f.GuestCases, f.Steps, f.Coverage(), len(findings), dt.Seconds())
 		rawFindings += len(f.Findings)
-		for _, fd := range findings {
-			fmt.Fprintf(out, "\n=== DIVERGENCE (%s) ===\n%s\n", p, fd)
-			path, err := fuzz.WriteRepro(repros, fd)
-			if err != nil {
-				fmt.Fprintf(errw, "fuzzdiff: writing reproducer: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(out, "minimized reproducer written to %s\n", path)
-		}
+		writeRepros(p, findings, repros, out, errw)
 	}
 	fmt.Fprintf(out, "hext: %d divergence(s) across %d profile(s) in %.1fs\n",
 		rawFindings, len(profiles), time.Since(start).Seconds())
 	if rawFindings > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runForkEquiv drives the fork-equivalence mode: each case runs a parent,
-// forks it mid-run, and compares child and post-fork parent bit-for-bit
-// (cycle counters included) against a cold replay of the same trajectory,
-// swept across both schedulers and both fastpath settings.
-func runForkEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
-	t0 := time.Now()
-	st, err := verif.RunForkEquivalence(profiles, seed, cases)
-	if err != nil {
-		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "fork-equivalence: %d cases, %d steps, %d image pages, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, st.ForkPages, len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
-	for _, m := range st.Mismatches {
-		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
-	}
-	if len(st.Mismatches) > 0 {
 		return 1
 	}
 	return 0
@@ -284,67 +243,48 @@ func runInject(profiles []string, seed int64, cases int, out, errw io.Writer) in
 	return 0
 }
 
-// runSchedEquiv drives the scheduler-equivalence mode: each randomized
-// multi-hart case runs under the sequential round-robin and the parallel
-// quantum scheduler, and any divergence in per-hart end state (cycle
-// counters included) or machine halt state is a failure.
-func runSchedEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
-	t0 := time.Now()
-	st, err := fuzz.RunSchedEquivalence(profiles, seed, cases)
-	if err != nil {
-		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "sched-equivalence: %d cases, %d seq steps, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
-	for _, m := range st.Mismatches {
-		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
-	}
-	if len(st.Mismatches) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runSBEquiv drives the superblock-equivalence mode: each randomized
-// single-hart case runs three times from the identical initial state — on
-// the plain interpreter, on the fast path without superblocks, and on the
-// full stack — under the same scheduler with a live wall clock, and any
-// divergence in end state (cycle counters included) is a failure.
-func runSBEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
-	t0 := time.Now()
-	st, err := fuzz.RunSuperblockEquivalence(profiles, seed, cases)
-	if err != nil {
-		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
-		return 2
-	}
-	fmt.Fprintf(out, "superblock-equivalence: %d cases, %d interp steps, %d sb-retired, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, st.SBRetired, len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
-	for _, m := range st.Mismatches {
-		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
-	}
-	if len(st.Mismatches) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// runEquiv drives the fastpath-equivalence mode: each case runs twice, with
-// host caches on and off, and any architectural or cycle-count divergence
-// is a failure.
+// runEquiv drives the equivalence mode. Per profile it runs the machine
+// sweep — every case on every execution tier cold and on one tier forked,
+// under both schedulers, each end state diffed against the interpreter's
+// cold run — and the monitored arm, lockstep cases with host caches on and
+// off. It prints how many runs each tier × sched × fork cell compared.
 func runEquiv(profiles []string, seed int64, cases int, out, errw io.Writer) int {
-	t0 := time.Now()
-	st, err := fuzz.RunEquivalence(profiles, seed, cases)
-	if err != nil {
-		fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
-		return 2
+	start := time.Now()
+	divergences := 0
+	for i, p := range profiles {
+		t0 := time.Now()
+		ms, err := fuzz.RunMachineEquivalence([]string{p}, seed+int64(i), cases)
+		if err != nil {
+			fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
+			return 2
+		}
+		fmt.Fprintf(out, "%-12s machine: %d cases, %d comparisons, %d steps, %d sb-retired, %d fork pages, %d divergence(s) (%.1fs)\n",
+			p, ms.Cases, ms.Runs, ms.Steps, ms.SBRetired, ms.ForkPages, len(ms.Mismatches), time.Since(t0).Seconds())
+		cells := make([]string, 0, len(ms.Cells))
+		for c := range ms.Cells {
+			cells = append(cells, c)
+		}
+		sort.Strings(cells)
+		for _, c := range cells {
+			fmt.Fprintf(out, "  %-32s %6d runs\n", c, ms.Cells[c])
+		}
+
+		t0 = time.Now()
+		es, err := fuzz.RunEquivalence([]string{p}, seed+int64(i), cases)
+		if err != nil {
+			fmt.Fprintf(errw, "fuzzdiff: %v\n", err)
+			return 2
+		}
+		fmt.Fprintf(out, "%-12s monitored caches on/off: %d cases, %d lockstep steps, %d divergence(s) (%.1fs)\n",
+			p, es.Cases, es.Steps, len(es.Mismatches), time.Since(t0).Seconds())
+		for _, m := range append(ms.Mismatches, es.Mismatches...) {
+			fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
+		}
+		divergences += len(ms.Mismatches) + len(es.Mismatches)
 	}
-	fmt.Fprintf(out, "fastpath-equivalence: %d cases, %d lockstep steps, %d divergence(s) across %d profile(s) in %.1fs\n",
-		st.Cases, st.Steps, len(st.Mismatches), len(profiles), time.Since(t0).Seconds())
-	for _, m := range st.Mismatches {
-		fmt.Fprintf(out, "  DIVERGENCE %s\n", m)
-	}
-	if len(st.Mismatches) > 0 {
+	fmt.Fprintf(out, "equiv: %d divergence(s) across %d profile(s) in %.1fs\n",
+		divergences, len(profiles), time.Since(start).Seconds())
+	if divergences > 0 {
 		return 1
 	}
 	return 0

@@ -27,18 +27,31 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
-func TestRunSchedEquivMode(t *testing.T) {
+func TestRunEquivMode(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run([]string{"-profile", "vf2", "-seed", "9", "-sched", "both",
-		"-equiv-cases", "40"}, &out, &errw)
+	code := run([]string{"-profile", "vf2", "-seed", "9", "-equiv", "12"}, &out, &errw)
 	if code != 0 {
-		t.Errorf("sched mode: exit %d, want 0\n%s%s", code, out.String(), errw.String())
+		t.Errorf("equiv mode: exit %d, want 0\n%s%s", code, out.String(), errw.String())
 	}
-	if !strings.Contains(out.String(), "sched-equivalence: 40 cases") {
-		t.Errorf("sched summary missing: %s", out.String())
+	for _, want := range []string{
+		"visionfive2  machine: 12 cases",
+		"interp/seq/cold",
+		"superblocks/seq/fork",
+		"caches/par(q=7)/fork",
+		"monitored caches on/off: 12 cases",
+		"equiv: 0 divergence(s) across 1 profile(s)",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("equiv summary missing %q:\n%s", want, out.String())
+		}
 	}
-	if code := run([]string{"-sched", "bogus"}, &out, &errw); code != 2 {
-		t.Errorf("bad -sched: exit %d, want 2", code)
+	for _, gone := range [][]string{
+		{"-sched", "both"}, {"-superblock", "both"}, {"-fork", "5"},
+		{"-equiv-cases", "5"}, {"-fastpath", "both"},
+	} {
+		if code := run(gone, &out, &errw); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (flag or value removed)", gone, code)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ const schedScaleReps = 5
 
 // schedScaleProg is a never-halting per-hart compute loop in disjoint
 // windows: mostly ALU with one store per iteration, the same mix the
-// scheduler-equivalence fuzz gate exercises at full randomness.
+// equivalence gate's scheduler sweep exercises at full randomness.
 func schedScaleProg() []byte {
 	a := asm.New(hart.DramBase)
 	a.Li(asm.S0, hart.DramBase+0x10000)

@@ -126,9 +126,6 @@ func (c *CSRFile) SetHWLines(lines uint64) {
 	c.hwLines = lines & (rv.MIntMask | 1<<rv.IntSExt)
 }
 
-// HWLines returns the currently asserted lines.
-func (c *CSRFile) HWLines() uint64 { return c.hwLines }
-
 // Mip composes the architectural mip value. time is the current mtime,
 // needed for the Sstc comparator when enabled.
 func (c *CSRFile) Mip(time uint64) uint64 {

@@ -269,11 +269,13 @@ func TestFastPathPMPReconfigUnderMPRV(t *testing.T) {
 	}
 }
 
-// TestFastPathSnapshotRestore checkpoints mid-run, finishes, restores, and
+// TestFastPathSnapshotRestore snapshots mid-run, finishes, restores, and
 // finishes again: both completions must be bit-identical even though the
 // first one patched code and remapped pages, which would poison a cache
 // that survived the restore (the PMP epoch also rewinds, the one case the
-// validity-by-comparison TLB cannot catch on its own).
+// validity-by-comparison TLB cannot catch on its own). The restore brings
+// the unpatched RAM back with no bus write, so no page-watch notification
+// can flush a stale cache on the restore's behalf.
 func TestFastPathSnapshotRestore(t *testing.T) {
 	patched := encodeOne(t, func(a *asm.Asm) { a.Addi(asm.A0, asm.A0, 100) })
 	a := asm.New(DramBase)
@@ -294,19 +296,17 @@ func TestFastPathSnapshotRestore(t *testing.T) {
 	m.Reset(DramBase)
 	m.SetFastPath(true)
 	m.Run(5) // partway into the first loop pass, caches warm
-	ram, err := m.Bus.ReadBytes(DramBase, 1<<16)
+	snap, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Checkpoint()
 
 	m.Run(1000)
 	mustHalt(t, m)
 	h := m.Harts[0]
 	regs1, cycles1 := h.Regs, h.Cycles
 
-	m.Restore(snap)
-	if err := m.Bus.WriteBytes(DramBase, ram); err != nil {
+	if err := m.LoadImageState(snap); err != nil {
 		t.Fatal(err)
 	}
 	m.Run(1000)

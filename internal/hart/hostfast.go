@@ -2,9 +2,9 @@ package hart
 
 // Host-side acceleration caches. Everything in this file trades host time
 // only: the simulated machine's architectural state and cycle accounting
-// are bit-identical with the fast paths on or off (the fastpath-equivalence
-// fuzz gate in internal/verif/fuzz runs the two configurations in lockstep
-// and fails on any divergence). See DESIGN.md, "Host fast paths vs. the
+// are bit-identical with the fast paths on or off (the equivalence gate in
+// internal/verif/fuzz runs the two configurations side by side and fails
+// on any divergence). See DESIGN.md, "Host fast paths vs. the
 // simulated cycle model".
 
 import (
@@ -108,9 +108,6 @@ func (h *Hart) SetFastPath(on bool) {
 	h.flushDecode()
 	h.flushTLB()
 }
-
-// FastPathEnabled reports whether the host caches are in use.
-func (h *Hart) FastPathEnabled() bool { return h.fast.on }
 
 // InvalidatePhysPage implements mem.PageWatcher: a watched page was
 // written, so drop any predecoded instructions on it and, if a cached

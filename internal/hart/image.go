@@ -28,17 +28,19 @@ func (d *DMAEngine) Restore(s DMASnapshot) {
 
 // Image is a complete machine image: RAM shared copy-on-write with the
 // origin machine (mem.RAMSnapshot), every hart's architectural state, and
-// every device — CLINT, PLIC, UART, DMA, and IOPMP. Unlike the narrower
-// MachineSnapshot (which rewinds one machine in place for replay
-// harnesses), an Image is self-contained: SpawnFromImage builds an
+// every device — CLINT, PLIC, UART, DMA, and IOPMP. An Image is
+// self-contained: LoadImageState rewinds a machine to it (the replay
+// harnesses reset every case this way), SpawnFromImage builds an
 // independent machine from it, and any number of machines may be spawned
-// from one image and run concurrently with the origin.
+// from one image and run concurrently with the origin. DiffImages compares
+// two images field by field.
 //
 // Host-side state deliberately travels outside the image: predecode/TLB
 // caches, PMP fast segments, watch bits, Perf counters, and the
 // Monitor/Watchdog/Trace hooks all belong to a machine, not an image. A
 // spawned machine starts with cold caches that re-arm on first use, which
-// the fork-equivalence gate proves is invisible in simulated time.
+// the equivalence gate (fuzzdiff -equiv) proves is invisible in
+// simulated time.
 type Image struct {
 	Cfg      *Config
 	DramSize uint64
@@ -130,10 +132,11 @@ func (m *Machine) LoadImageState(img *Image) error {
 	m.timeRemainder = img.TimeRemainder
 	m.halted = img.Halted
 	m.haltReason = img.HaltReason
+	m.Sched, m.Quantum = img.Sched, img.Quantum
 	m.SetFastPath(img.FastPath)
 	// Only the tier switch travels in the image: translated blocks are host
 	// state, dropped with the predecode pages above; the child re-heats and
-	// re-translates (bit-identical — the fork-equivalence gate sweeps this).
+	// re-translates (bit-identical — the equivalence gate sweeps this).
 	m.SetSuperblock(img.Superblock)
 	return nil
 }
@@ -148,8 +151,6 @@ func SpawnFromImage(img *Image) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Sched = img.Sched
-	m.Quantum = img.Quantum
 	if err := m.LoadImageState(img); err != nil {
 		return nil, err
 	}

@@ -157,7 +157,7 @@ func (m *Machine) Halted() (bool, string) { return m.halted, m.haltReason }
 // the harts' predecode/TLB/flattened-PMP caches and the PLIC's pending
 // memoization. Off reproduces the pre-acceleration simulator exactly; the
 // architectural results are identical either way (enforced by the
-// fastpath-equivalence fuzz gate).
+// equivalence gate, fuzzdiff -equiv).
 func (m *Machine) SetFastPath(on bool) {
 	for _, h := range m.Harts {
 		h.SetFastPath(on)
@@ -198,6 +198,7 @@ func (m *Machine) Reset(pc uint64) {
 	for _, h := range m.Harts {
 		h.PC = pc
 		h.Mode = rv.ModeM
+		h.V = false
 		h.Regs = [32]uint64{}
 		h.Regs[10] = uint64(h.ID) // a0
 		h.Waiting = false

@@ -316,7 +316,7 @@ func computeProg() []byte {
 }
 
 // hartEndState captures the architecturally visible per-hart end state a
-// scheduler-equivalence check compares.
+// scheduler check compares.
 type hartEndState struct {
 	pc, cycles, instret uint64
 	regs                [32]uint64

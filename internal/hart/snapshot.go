@@ -1,9 +1,6 @@
 package hart
 
-import (
-	"govfm/internal/dev/clint"
-	"govfm/internal/rv"
-)
+import "govfm/internal/rv"
 
 // Snapshot is a deep copy of one hart's architectural state, sufficient to
 // restore the hart to an exact earlier point. Lockstep differential
@@ -14,6 +11,7 @@ type Snapshot struct {
 	Regs     [32]uint64
 	PC       uint64
 	Mode     uint64
+	V        bool
 	Cycles   uint64
 	Instret  uint64
 	SInstret uint64
@@ -49,6 +47,7 @@ func (h *Hart) Checkpoint() *Snapshot {
 		Regs:       h.Regs,
 		PC:         h.PC,
 		Mode:       uint64(h.Mode),
+		V:          h.V,
 		Cycles:     h.Cycles,
 		Instret:    h.Instret,
 		SInstret:   h.SInstret,
@@ -70,6 +69,7 @@ func (h *Hart) Restore(s *Snapshot) {
 	h.Regs = s.Regs
 	h.PC = s.PC
 	h.Mode = rv.Mode(s.Mode)
+	h.V = s.V
 	h.Cycles = s.Cycles
 	h.Instret = s.Instret
 	h.SInstret = s.SInstret
@@ -96,42 +96,3 @@ func (h *Hart) Restore(s *Snapshot) {
 // MipSW returns the software-writable mip bits, for differential harnesses
 // that need the raw component rather than the composed Mip view.
 func (c *CSRFile) MipSW() uint64 { return c.mipSW }
-
-// MachineSnapshot captures the state Machine.Restore needs for
-// deterministic re-runs: every hart plus the CLINT (the one device whose
-// state — mtime, mtimecmp, msip — feeds back into hart-visible behaviour
-// through the interrupt lines and the time CSR). Other device state (PLIC,
-// UART, DMA, IOPMP) is not captured; harnesses that program those devices
-// must reset them separately.
-type MachineSnapshot struct {
-	Harts         []*Snapshot
-	Clint         clint.Snapshot
-	TimeRemainder uint64
-	Halted        bool
-	HaltReason    string
-}
-
-// Checkpoint captures the machine state needed for deterministic replay.
-func (m *Machine) Checkpoint() *MachineSnapshot {
-	s := &MachineSnapshot{
-		Clint:         m.Clint.Checkpoint(),
-		TimeRemainder: m.timeRemainder,
-		Halted:        m.halted,
-		HaltReason:    m.haltReason,
-	}
-	for _, h := range m.Harts {
-		s.Harts = append(s.Harts, h.Checkpoint())
-	}
-	return s
-}
-
-// Restore rewinds the machine to a checkpoint taken on it earlier.
-func (m *Machine) Restore(s *MachineSnapshot) {
-	for i, h := range m.Harts {
-		h.Restore(s.Harts[i])
-	}
-	m.Clint.Restore(s.Clint)
-	m.timeRemainder = s.TimeRemainder
-	m.halted = s.Halted
-	m.haltReason = s.HaltReason
-}

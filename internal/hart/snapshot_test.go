@@ -41,45 +41,60 @@ func perturb(rng *rand.Rand, h *Hart) {
 }
 
 // TestSnapshotRoundTrip is the property behind every replay in the
-// differential and chaos harnesses: Restore(Checkpoint()) is the identity,
-// no matter how the state was scrambled in between.
+// differential and chaos harnesses: LoadImageState(Snapshot()) is the
+// identity, no matter how the state was scrambled in between.
 func TestSnapshotRoundTrip(t *testing.T) {
 	m, h := run(t, 500, func(a *asm.Asm) {
 		a.Li(asm.A0, 1)
 		a.Csrw(rv.CSRMscratch, asm.A0)
 		a.Wfi() // park so run() returns with live, non-trivial state
 	})
+	snapshot := func() *Image {
+		img, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	load := func(img *Image) {
+		if err := m.LoadImageState(img); err != nil {
+			t.Fatal(err)
+		}
+	}
 	rng := rand.New(rand.NewSource(0xC0FFEE))
 	for iter := 0; iter < 25; iter++ {
-		before := m.Checkpoint()
+		before := snapshot()
 		perturb(rng, h)
 		m.Clint.SetTime(rng.Uint64())
 		m.Clint.SetMtimecmp(0, rng.Uint64())
 		m.Clint.SetMsip(0, rng.Intn(2) == 0)
-		m.Restore(before)
-		after := m.Checkpoint()
+		load(before)
+		after := snapshot()
 		if !reflect.DeepEqual(before, after) {
-			t.Fatalf("iter %d: restore did not reproduce the checkpoint\nbefore: %+v\nafter:  %+v",
+			t.Fatalf("iter %d: restore did not reproduce the snapshot\nbefore: %+v\nafter:  %+v",
 				iter, before.Harts[0], after.Harts[0])
 		}
 		// A second restore from the same snapshot must also be stable
-		// (Restore must not alias snapshot-owned state into the hart).
+		// (LoadImageState must not alias snapshot-owned state into the hart).
 		perturb(rng, h)
-		m.Restore(before)
-		if got := m.Checkpoint(); !reflect.DeepEqual(before, got) {
+		load(before)
+		if got := snapshot(); !reflect.DeepEqual(before, got) {
 			t.Fatalf("iter %d: snapshot was corrupted by a restore/perturb cycle", iter)
 		}
 	}
 }
 
-// TestSnapshotIsDeep: mutating the hart after Checkpoint must not change
-// the snapshot (the reference-typed members — PMP file, custom CSRs — have
+// TestSnapshotIsDeep: mutating the hart after Snapshot must not change
+// the image (the reference-typed members — PMP file, custom CSRs — have
 // to be deep-copied).
 func TestSnapshotIsDeep(t *testing.T) {
 	m, h := run(t, 500, func(a *asm.Asm) {
 		a.Wfi()
 	})
-	s := m.Checkpoint()
+	s, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	pmpAddr := s.Harts[0].CSR.PMP.Addr(0)
 	h.CSR.PMP.ForceAddr(0, pmpAddr^0xFFFF)
 	h.CSR.Mscratch ^= 1

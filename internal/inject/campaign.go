@@ -57,7 +57,7 @@ type CampaignConfig struct {
 	// snapshotted (copy-on-write, with the monitor and policy forked
 	// alongside), and every rebuild spawns from that image instead of
 	// re-booting and re-warming a fresh system. Behaviorally equivalent —
-	// the fork-equivalence suite is the gate — but rebuilds cost
+	// the equivalence gate's fork sweep proves it — but rebuilds cost
 	// microseconds instead of a full simulated boot.
 	Fork bool
 }

@@ -93,3 +93,46 @@ func (b *Bus) TouchedPages() uint64 { return b.touched }
 // COWCopies returns the cumulative number of pages broken off a shared
 // ancestor (copy-on-first-write events, excluding fresh zero pages).
 func (b *Bus) COWCopies() uint64 { return b.cowCopied }
+
+// FirstDiff returns the lowest address whose byte differs between s and o,
+// and whether one does. A nil page reads as zeros, so a materialized page
+// of zeros equals a nil one; a chunk or page pointer shared by both sides
+// is equal without a look at its bytes, which keeps the walk O(pages that
+// diverged) for images of one lineage. Snapshots of different RAM layouts
+// differ at the base of the first region where they disagree.
+func (s *RAMSnapshot) FirstDiff(o *RAMSnapshot) (uint64, bool) {
+	if len(s.regions) != len(o.regions) {
+		return 0, true
+	}
+	var zero ramPage
+	for i, a := range s.regions {
+		b := o.regions[i]
+		if a.base != b.base || a.size != b.size {
+			return min(a.base, b.base), true
+		}
+		for ci, ca := range a.dir {
+			cb := b.dir[ci]
+			if ca == cb {
+				continue
+			}
+			for pi := 0; pi < chunkPages; pi++ {
+				pa, pb := &zero, &zero
+				if ca != nil && ca.pages[pi] != nil {
+					pa = ca.pages[pi]
+				}
+				if cb != nil && cb.pages[pi] != nil {
+					pb = cb.pages[pi]
+				}
+				if pa == pb || pa.data == pb.data {
+					continue
+				}
+				for k := range pa.data {
+					if pa.data[k] != pb.data[k] {
+						return a.base + uint64(ci)<<chunkShift + uint64(pi)<<pageShift + uint64(k), true
+					}
+				}
+			}
+		}
+	}
+	return 0, false
+}

@@ -191,3 +191,35 @@ func TestConcurrentForkFamily(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestRAMSnapshotFirstDiff: the page walk finds the lowest differing byte,
+// treats a materialized zero page as equal to an untouched one, and
+// reports a layout mismatch at the region base.
+func TestRAMSnapshotFirstDiff(t *testing.T) {
+	a := newTestBus(t)
+	a.Store(0x8000_0010, 8, 0x1122)
+	s0 := a.Snapshot()
+	if addr, ok := s0.FirstDiff(a.Snapshot()); ok {
+		t.Fatalf("a snapshot differs from its own copy at %#x", addr)
+	}
+
+	b := newTestBus(t)
+	b.Store(0x8000_0010, 8, 0x1122)
+	b.Store(0x8050_0000, 8, 0) // a zero page materialized on one side only
+	if addr, ok := s0.FirstDiff(b.Snapshot()); ok {
+		t.Fatalf("zero page counted as a difference at %#x", addr)
+	}
+	b.Store(0x8060_0003, 1, 7)
+	b.Store(0x8070_0000, 1, 9)
+	if addr, ok := s0.FirstDiff(b.Snapshot()); !ok || addr != 0x8060_0003 {
+		t.Fatalf("FirstDiff = %#x/%v, want 0x80600003", addr, ok)
+	}
+
+	c := NewBus()
+	if err := c.AddRAM(0x8000_0000, 4<<20); err != nil {
+		t.Fatal(err)
+	}
+	if addr, ok := s0.FirstDiff(c.Snapshot()); !ok || addr != 0x8000_0000 {
+		t.Fatalf("layout mismatch: FirstDiff = %#x/%v, want the region base", addr, ok)
+	}
+}

@@ -239,12 +239,9 @@ func (f *File) MaxEpoch() uint64 { return f.issued }
 
 // SetFast selects the flattened-range lookup (true) or the architectural
 // linear scan (false) for Check. Both produce identical verdicts — the
-// fastpath-equivalence fuzz gate runs them against each other — so this
+// equivalence gate (fuzzdiff -equiv) runs them against each other — so this
 // only trades host time.
 func (f *File) SetFast(on bool) { f.fast = on }
-
-// FastEnabled reports whether the flattened-range lookup is in use.
-func (f *File) FastEnabled() bool { return f.fast }
 
 // NumEntries returns the number of implemented entries.
 func (f *File) NumEntries() int { return f.n }

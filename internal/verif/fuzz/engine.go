@@ -70,12 +70,9 @@ type Engine struct {
 	// events; the fuzzer uses new keys as its corpus signal.
 	Cov func(key uint64)
 
-	natBase  *hart.MachineSnapshot
-	virtBase *hart.MachineSnapshot
+	natBase  *hart.Image
+	virtBase *hart.Image
 	natTrap  *hart.TrapInfo
-
-	progZero    []byte
-	scratchZero []byte
 }
 
 // NewEngine builds the paired machines for a profile name from
@@ -100,11 +97,9 @@ func NewEngine(profile string) (*Engine, error) {
 	}
 
 	e := &Engine{
-		Profile:     profile,
-		Native:      native,
-		Virt:        virt,
-		progZero:    make([]byte, ProgCap),
-		scratchZero: make([]byte, ScratchSize),
+		Profile: profile,
+		Native:  native,
+		Virt:    virt,
 	}
 
 	mon, err := core.Attach(virt, core.Options{
@@ -144,7 +139,9 @@ func NewEngine(profile string) (*Engine, error) {
 	// excluded from lockstep — see Run).
 	native.Reset(ProgBase)
 	native.Clint.SetMtimecmp(0, ^uint64(0))
-	e.natBase = native.Checkpoint()
+	if e.natBase, err = native.Snapshot(); err != nil {
+		return nil, err
+	}
 	native.Harts[0].OnTrap = func(ti hart.TrapInfo) {
 		t := ti
 		e.natTrap = &t
@@ -152,8 +149,18 @@ func NewEngine(profile string) (*Engine, error) {
 	}
 
 	mon.Boot()
-	e.virtBase = virt.Checkpoint()
+	if e.virtBase, err = virt.Snapshot(); err != nil {
+		return nil, err
+	}
 	return e, nil
+}
+
+// restore installs an image taken on m or on a machine of m's shape; a
+// shape mismatch, the only error LoadImageState reports, cannot happen.
+func restore(m *hart.Machine, base *hart.Image) {
+	if err := m.LoadImageState(base); err != nil {
+		panic(err)
+	}
 }
 
 func (e *Engine) emit(key uint64) {
@@ -560,8 +567,8 @@ func (e *Engine) Run(tc *TestCase) (*Finding, int) {
 	e.canonicalize(tc)
 	s := tc.State
 
-	e.Native.Restore(e.natBase)
-	e.Virt.Restore(e.virtBase)
+	restore(e.Native, e.natBase)
+	restore(e.Virt, e.virtBase)
 	e.Mon.ResetVirt(e.Ctx)
 
 	prog := make([]byte, 4*len(tc.Prog))
@@ -569,8 +576,8 @@ func (e *Engine) Run(tc *TestCase) (*Finding, int) {
 		binary.LittleEndian.PutUint32(prog[4*i:], w)
 	}
 	for _, m := range []*hart.Machine{e.Native, e.Virt} {
-		m.LoadImage(ProgBase, e.progZero)
-		m.LoadImage(ScratchBase, e.scratchZero)
+		m.LoadImage(ProgBase, zeroWindow[:ProgCap])
+		m.LoadImage(ScratchBase, zeroWindow)
 		m.LoadImage(ProgBase, prog)
 	}
 

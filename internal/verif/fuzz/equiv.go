@@ -1,21 +1,21 @@
 package fuzz
 
 import (
-	"bytes"
 	"fmt"
-	"math/rand"
 
 	"govfm/internal/hart"
 	"govfm/internal/refmodel"
 )
 
-// This file implements the fastpath-equivalence mode: every test case runs
-// twice, once with the host acceleration caches on and once with them off,
-// and the two executions must agree on everything architectural — final
-// findings, lockstep step counts, registers, CSRs, memory, and (crucially)
-// the simulated cycle counters. Any disagreement means a host cache leaked
-// into the architecture, which is the one bug class the caches must never
-// have.
+// This file implements the monitored arm of the equivalence gate: every
+// lockstep test case runs twice, once with the host acceleration caches on
+// and once with them off, and the two executions must agree on everything
+// architectural — final findings, lockstep step counts, the full machine
+// images of the native and the monitor-virtualized machine (the simulated
+// cycle counters included), and the monitor's virtual CSRs. Any
+// disagreement means a host cache leaked into the architecture, which is
+// the one bug class the caches must never have. It is the only equivalence
+// check that runs a monitor; the bare-machine sweep is machequiv.go.
 
 // DefaultFastPath is the host-acceleration setting NewEngine applies to
 // freshly built engines. cmd/fuzzdiff's -fastpath=off sets it false so a
@@ -23,111 +23,85 @@ import (
 var DefaultFastPath = true
 
 // SetFastPath toggles host-side acceleration on both of the engine's
-// machines (the native one and the monitor-virtualized one).
+// machines (the native one and the monitor-virtualized one). The baseline
+// images carry the switch too, so every case's restore keeps it.
 func (e *Engine) SetFastPath(on bool) {
 	e.Native.SetFastPath(on)
 	e.Virt.SetFastPath(on)
+	if e.natBase != nil {
+		e.natBase.FastPath, e.virtBase.FastPath = on, on
+	}
 }
 
-// EquivMismatch is one fast-vs-slow divergence.
+// EquivMismatch is one divergence the equivalence gate found: a lockstep
+// case whose fast and slow runs disagree, or a machine case whose run in
+// some tier/sched/fork cell disagrees with its oracle.
 type EquivMismatch struct {
-	Profile string
-	Case    *TestCase
-	Desc    string
+	Case fmt.Stringer // *TestCase or *MachineCase
+	Desc string
 }
 
-func (m *EquivMismatch) String() string {
-	return fmt.Sprintf("[%s] %s in %s", m.Profile, m.Desc, m.Case)
-}
+func (m *EquivMismatch) String() string { return m.Desc + " in " + m.Case.String() }
 
-// EquivStats summarizes an equivalence run.
+// EquivStats summarizes an equivalence run. Steps counts lockstep steps on
+// the fast side in the monitored arm and sequential oracle steps in the
+// machine sweep; Runs through Cells are the machine sweep's.
 type EquivStats struct {
 	Cases      int
-	Steps      int // lockstep steps on the fast side
+	Steps      int
+	Runs       int            // machine runs compared against an oracle
+	SBRetired  uint64         // instructions retired inside superblocks
+	ForkPages  int            // pages carried by fork images
+	Cells      map[string]int // runs per tier/sched/fork cell
 	Mismatches []*EquivMismatch
 }
 
-// enginePair is one profile's fast/slow engine duo plus its case corpus.
-type enginePair struct {
-	fast, slow *Engine
-	corpus     []*TestCase
-}
-
-// NewEquivalence builds paired engines for each profile: one with all host
-// caches enabled, one with the reference (cache-free) configuration.
-func newEquivPairs(profiles []string) ([]*enginePair, error) {
-	var pairs []*enginePair
-	for _, p := range profiles {
-		ef, err := NewEngine(p)
-		if err != nil {
-			return nil, err
-		}
-		es, err := NewEngine(p)
-		if err != nil {
-			return nil, err
-		}
-		ef.SetFastPath(true)
-		es.SetFastPath(false)
-		pairs = append(pairs, &enginePair{fast: ef, slow: es})
-	}
-	return pairs, nil
-}
-
-// RunEquivalence fuzzes `cases` test cases per profile through the paired
-// engines, using the fast side's coverage signal to grow a shared corpus
-// (the same coverage-guided exploration as the normal fuzzer, so the
-// equivalence gate visits the same interesting trap/emulation paths).
+// RunEquivalence fuzzes `cases` test cases per profile through a fuzzer
+// whose engines run with all host caches enabled — the same
+// coverage-guided exploration as the normal fuzzer, so the equivalence
+// gate visits the same interesting trap/emulation paths — and replays
+// every case on a reference (cache-free) engine of the same profile.
 func RunEquivalence(profiles []string, seed int64, cases int) (*EquivStats, error) {
-	pairs, err := newEquivPairs(profiles)
+	f, err := NewFuzzer(profiles, seed)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	coverage := map[uint64]struct{}{}
+	slow := make([]*Engine, len(profiles))
+	for i, p := range profiles {
+		if slow[i], err = NewEngine(p); err != nil {
+			return nil, err
+		}
+		f.Engines[i].SetFastPath(true)
+		slow[i].SetFastPath(false)
+	}
 	st := &EquivStats{}
-	for c := 0; c < cases*len(pairs); c++ {
-		pr := pairs[c%len(pairs)]
-		var tc *TestCase
-		if len(pr.corpus) == 0 || rng.Intn(3) == 0 {
-			tc = pr.fast.GenCase(rng)
-		} else {
-			parent := pr.corpus[rng.Intn(len(pr.corpus))]
-			var other *TestCase
-			if len(pr.corpus) > 1 {
-				other = pr.corpus[rng.Intn(len(pr.corpus))]
-			}
-			tc = pr.fast.Mutate(rng, parent, other)
-		}
-
-		newKeys := 0
-		pr.fast.Cov = func(key uint64) {
-			if _, ok := coverage[key]; !ok {
-				coverage[key] = struct{}{}
-				newKeys++
-			}
-		}
-		fF, stepsF := pr.fast.Run(tc)
-		pr.fast.Cov = nil
-		fS, stepsS := pr.slow.Run(tc)
+	for c := 0; c < cases*len(profiles); c++ {
+		i := c % len(profiles)
+		tc := f.nextCase(i)
+		before := f.Steps
+		fF := f.runOne(i, tc)
+		stepsF := f.Steps - before
+		fS, stepsS := slow[i].Run(tc)
 
 		st.Cases++
 		st.Steps += stepsF
-		if desc := equivCompare(pr.fast, pr.slow, fF, fS, stepsF, stepsS); desc != "" {
-			st.Mismatches = append(st.Mismatches, &EquivMismatch{
-				Profile: pr.fast.Profile, Case: tc, Desc: desc})
+		if desc := equivCompare(f.Engines[i], slow[i], fF, fS, stepsF, stepsS); desc != "" {
+			st.Mismatches = append(st.Mismatches, &EquivMismatch{Case: tc, Desc: desc})
 			if len(st.Mismatches) >= 10 {
 				break
 			}
-		}
-		if newKeys > 0 && len(pr.corpus) < corpusCap {
-			pr.corpus = append(pr.corpus, tc)
 		}
 	}
 	return st, nil
 }
 
 // equivCompare checks every observable of a finished case pair and returns
-// a description of the first divergence, or "".
+// a description of the first divergence, or "". Both machines of each side
+// are compared by their full images (hart.DiffImages): registers, the
+// cycle and instret counters — the paper-metric invariant, the host caches
+// must not change a single charged cycle — every CSR, the devices and all
+// of RAM. The monitor's virtual CSRs live outside the image and are
+// compared through the reference-model view.
 func equivCompare(eF, eS *Engine, fF, fS *Finding, stepsF, stepsS int) string {
 	if (fF == nil) != (fS == nil) {
 		return fmt.Sprintf("finding presence: fast=%v slow=%v", fF, fS)
@@ -142,34 +116,9 @@ func equivCompare(eF, eS *Engine, fF, fS *Finding, stepsF, stepsS int) string {
 		name   string
 		mF, mS *hart.Machine
 	}{{"native", eF.Native, eS.Native}, {"virt", eF.Virt, eS.Virt}} {
-		hF, hS := side.mF.Harts[0], side.mS.Harts[0]
-		// Cycle-count equivalence is the paper-metric invariant: the host
-		// caches must not change a single charged cycle.
-		if hF.Cycles != hS.Cycles {
-			return fmt.Sprintf("%s cycles: fast=%d slow=%d", side.name, hF.Cycles, hS.Cycles)
+		if d := hart.DiffImages(snapshot(side.mS), snapshot(side.mF)); d != "" {
+			return side.name + " " + d + " (want=slow got=fast)"
 		}
-		if hF.Instret != hS.Instret || hF.SInstret != hS.SInstret {
-			return fmt.Sprintf("%s instret: fast=%d/%d slow=%d/%d",
-				side.name, hF.Instret, hF.SInstret, hS.Instret, hS.SInstret)
-		}
-		if hF.PC != hS.PC || hF.Mode != hS.Mode || hF.Waiting != hS.Waiting {
-			return fmt.Sprintf("%s pc/mode/wfi: fast=%#x/%v/%v slow=%#x/%v/%v",
-				side.name, hF.PC, hF.Mode, hF.Waiting, hS.PC, hS.Mode, hS.Waiting)
-		}
-		if hF.Regs != hS.Regs {
-			return side.name + " register file differs"
-		}
-		for _, r := range [][2]uint64{{ProgBase, ProgCap}, {ScratchBase, ScratchSize}} {
-			bF, err1 := side.mF.Bus.ReadBytes(r[0], int(r[1]))
-			bS, err2 := side.mS.Bus.ReadBytes(r[0], int(r[1]))
-			if err1 != nil || err2 != nil || !bytes.Equal(bF, bS) {
-				return fmt.Sprintf("%s memory at %#x differs", side.name, r[0])
-			}
-		}
-	}
-	// Full CSR comparison through the reference-model views.
-	if ds := refmodel.Diff(eF.PhysCfg, eF.nativeView(), eS.nativeView()); len(ds) > 0 {
-		return "native CSR state: " + ds[0].String()
 	}
 	if ds := refmodel.Diff(eF.VirtCfg, eF.virtView(), eS.virtView()); len(ds) > 0 {
 		return "virt CSR state: " + ds[0].String()

@@ -101,17 +101,7 @@ func (f *Fuzzer) runOne(i int, tc *TestCase) *Finding {
 // fuzzer keeps going after a finding (up to maxFindings) so one bug does
 // not mask others.
 func (f *Fuzzer) RunBudget(budget int, maxFindings int) []*Finding {
-	var minimized []*Finding
-	for i := 0; f.Steps < budget; i = (i + 1) % len(f.Engines) {
-		tc := f.nextCase(i)
-		if fd := f.runOne(i, tc); fd != nil {
-			minimized = append(minimized, Minimize(f.Engines[i], fd))
-			if maxFindings > 0 && len(minimized) >= maxFindings {
-				break
-			}
-		}
-	}
-	return minimized
+	return f.run(func() bool { return f.Steps < budget }, maxFindings)
 }
 
 // RunCases fuzzes until the total case count reaches n, alternating
@@ -119,8 +109,14 @@ func (f *Fuzzer) RunBudget(budget int, maxFindings int) []*Finding {
 // -hext CI gate promises a minimum case count) use this instead of a step
 // budget.
 func (f *Fuzzer) RunCases(n int, maxFindings int) []*Finding {
+	return f.run(func() bool { return f.Cases < n }, maxFindings)
+}
+
+// run fuzzes while more() holds, alternating engines, and returns the
+// minimized findings.
+func (f *Fuzzer) run(more func() bool, maxFindings int) []*Finding {
 	var minimized []*Finding
-	for i := 0; f.Cases < n; i = (i + 1) % len(f.Engines) {
+	for i := 0; more(); i = (i + 1) % len(f.Engines) {
 		tc := f.nextCase(i)
 		if fd := f.runOne(i, tc); fd != nil {
 			minimized = append(minimized, Minimize(f.Engines[i], fd))

@@ -48,7 +48,9 @@ func RunInjection(profile string, seed int64, cases int) (*InjectReport, error) 
 	e.Mon.Opts.Containment = true
 	e.Mon.Opts.WatchdogBudget = injectWatchdogBudget
 	e.Mon.Boot()
-	e.virtBase = e.Virt.Checkpoint()
+	if e.virtBase, err = e.Virt.Snapshot(); err != nil {
+		return nil, err
+	}
 
 	rng := rand.New(rand.NewSource(seed))
 	rep := &InjectReport{Profile: profile}
@@ -69,7 +71,7 @@ func (e *Engine) runInjectCase(rng *rand.Rand, rep *InjectReport, n int) {
 		}
 	}()
 
-	e.Virt.Restore(e.virtBase)
+	restore(e.Virt, e.virtBase)
 	e.Mon.ResetVirt(e.Ctx)
 
 	tc := e.GenCase(rng)
@@ -77,8 +79,8 @@ func (e *Engine) runInjectCase(rng *rand.Rand, rep *InjectReport, n int) {
 	for i, w := range tc.Prog {
 		binary.LittleEndian.PutUint32(prog[4*i:], w)
 	}
-	e.Virt.LoadImage(ProgBase, e.progZero)
-	e.Virt.LoadImage(ScratchBase, e.scratchZero)
+	e.Virt.LoadImage(ProgBase, zeroWindow[:ProgCap])
+	e.Virt.LoadImage(ScratchBase, zeroWindow)
 	e.Virt.LoadImage(ProgBase, prog)
 	e.installVirt(tc.State)
 

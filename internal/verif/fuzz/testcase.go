@@ -47,6 +47,10 @@ const (
 	StepBudget = 256
 )
 
+// zeroWindow is read-only zeros that wipe a program or scratch window
+// before a case is installed.
+var zeroWindow = make([]byte, ScratchSize)
+
 // TestCase is one fuzz input: a platform profile, an instruction stream,
 // and a starting architectural state. It serializes to JSON for corpus
 // storage and reproducers.

@@ -74,25 +74,17 @@ echo "== hext lockstep (hypervisor-extension bias, state + cycles, 500 cases)"
 # architectural state AND cycle counters, >= 400 cases, zero divergences.
 run_gate hext_lockstep go run ./cmd/fuzzdiff -hext -smoke
 
-echo "== fastpath equivalence (host caches on vs. off, state + cycles)"
-run_gate fastpath_equiv go run ./cmd/fuzzdiff -fastpath both -equiv-cases 400
-
-echo "== scheduler equivalence (sequential vs. quantum-parallel, state + cycles)"
-run_gate sched_equiv go run ./cmd/fuzzdiff -sched both -equiv-cases 400
-
-echo "== fork equivalence (COW fork vs. cold replay, state + cycles, 400 cases)"
-# Each case forks a parent mid-run and requires the child AND the
-# post-fork parent to match a cold replay bit-for-bit (cycle counters
-# included), swept across both schedulers and both fastpath settings.
-run_gate fork_equiv go run ./cmd/fuzzdiff -fork 200
-
-echo "== superblock equivalence (translation tier vs. fast path vs. interpreter)"
-# Three-machine differential gate for the superblock binary-translation
-# tier: every case runs on an interpreter-only, a caches-only, and a
-# full-stack machine under a live wall clock and must match bit-for-bit
-# (registers, CSRs, memory, cycle counters), swept across both schedulers,
-# timer interrupts, self-modifying code, and PMP reprogramming.
-run_gate superblock_equiv go run ./cmd/fuzzdiff -superblock both -equiv-cases 400
+echo "== equivalence (execution tiers x schedulers x forks, full-image diff)"
+# One gate for every host-side mechanism that must not change a machine's
+# end state. Per profile, 1000 closed N-hart cases (N in 1, 2, 4) each run
+# on the interpreter, the host caches and the superblock tier, cold and
+# forked mid-run, under the sequential and the quantum-parallel scheduler;
+# every end state is compared with hart.DiffImages (all harts, all CSRs,
+# devices, RAM, cycle counters) against the interpreter's cold run, and
+# frozen-clock cases also across schedulers. 1000 monitored lockstep cases
+# per profile then run with host caches on and off. The log lists the runs
+# compared in every tier/sched/fork cell.
+run_gate equiv go run ./cmd/fuzzdiff -equiv 1000
 
 echo "== Table 4 host-throughput benchmark (compile-and-run gate)"
 run_gate bench_table4 go test ./internal/bench -run '^$' -bench BenchmarkTable4Operations -benchtime 1x
