@@ -44,6 +44,11 @@ var profileAlias = map[string][]string{
 	"all":  {"visionfive2", "p550"},
 }
 
+// equivProfiles is what -equiv sweeps under -profile all: the two boards,
+// plus rva23, the one profile with Sstc, so the stimecmp paths of the
+// pending check, the superblock headroom and WFI batching are compared too.
+var equivProfiles = []string{"visionfive2", "p550", "rva23"}
+
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the whole program; it returns the process exit code so tests can
@@ -58,7 +63,7 @@ func run(args []string, out, errw io.Writer) int {
 		seed     = fs.Int64("seed", 1, "fuzzer seed")
 		budget   = fs.Int("budget", 200_000, "total lockstep steps per profile")
 		smoke    = fs.Bool("smoke", false, "fixed-seed smoke run: 100k+ steps across both profiles, used as a CI gate")
-		profile  = fs.String("profile", "all", "platform profile: vf2, p550, or all")
+		profile  = fs.String("profile", "all", "platform profile: vf2, p550, or all (with -equiv, all adds rva23)")
 		repros   = fs.String("repros", "internal/verif/fuzz/testdata/repros", "directory for minimized reproducer files")
 		injectN  = fs.Int("inject", 0, "fault-injection mode: run N randomized cases with containment armed instead of lockstep fuzzing")
 		fastpath = fs.String("fastpath", "on", "host acceleration caches for lockstep fuzzing: on or off")
@@ -95,6 +100,9 @@ func run(args []string, out, errw io.Writer) int {
 	}
 
 	if *equivN > 0 {
+		if *profile == "all" {
+			profiles = equivProfiles
+		}
 		return runEquiv(profiles, *seed, *equivN, out, errw)
 	}
 

@@ -55,6 +55,22 @@ func TestRunEquivMode(t *testing.T) {
 	}
 }
 
+// TestRunEquivAllProfiles: under -profile all the equivalence mode also
+// sweeps rva23, the one profile with Sstc.
+func TestRunEquivAllProfiles(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := run([]string{"-seed", "4", "-equiv", "3"}, &out, &errw)
+	if code != 0 {
+		t.Errorf("equiv mode: exit %d, want 0\n%s%s", code, out.String(), errw.String())
+	}
+	for _, want := range []string{"visionfive2  machine: 3 cases", "p550         machine: 3 cases",
+		"rva23        machine: 3 cases", "equiv: 0 divergence(s) across 3 profile(s)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("equiv summary missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 func TestRunInjectMode(t *testing.T) {
 	var out, errw bytes.Buffer
 	code := run([]string{"-profile", "vf2", "-seed", "5", "-inject", "6"}, &out, &errw)

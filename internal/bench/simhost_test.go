@@ -58,3 +58,27 @@ func BenchmarkTable4Operations(b *testing.B) {
 		b.ReportMetric(float64(hostNs)/float64(instret), "host-ns/instr")
 	}
 }
+
+// BenchmarkSchedSeq4Hart measures the sequential scheduler on four harts
+// running schedScaleProg: the per-step interrupt latch, pending check and
+// fetch permission that the event horizon and the page fetch verdict
+// amortize. It reports simulated MIPS across all harts. scripts/verify.sh
+// runs it with -benchtime=1x as a compile-and-run gate.
+func BenchmarkSchedSeq4Hart(b *testing.B) {
+	const steps = 500_000
+	var hostNs int64
+	for i := 0; i < b.N; i++ {
+		m, err := schedScaleMachine(hart.VisionFive2, 4, hart.SchedSeq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		start := time.Now()
+		if n, halted := m.Run(steps); n != steps || halted {
+			b.Fatalf("ran %d of %d steps, halted=%v", n, steps, halted)
+		}
+		hostNs += time.Since(start).Nanoseconds()
+	}
+	if hostNs > 0 {
+		b.ReportMetric(float64(4*steps*b.N)*1e3/float64(hostNs), "mips")
+	}
+}

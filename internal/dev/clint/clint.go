@@ -24,6 +24,12 @@ type Clint struct {
 	mtimecmp []uint64
 	mtime    uint64
 
+	// gen counts the mutations that can change Pending other than mtime
+	// advancing: every MMIO store, SetMsip, SetMtimecmp, SetTime, Reset
+	// and Restore. A machine that caches the interrupt lines re-derives
+	// them when gen moves, and times mtime's own crossings itself.
+	gen uint64
+
 	// Perf counts programming operations, whether they arrive as MMIO
 	// stores or through the monitor's fast-path setters.
 	Perf struct {
@@ -55,6 +61,7 @@ func (c *Clint) NumHarts() int { return len(c.msip) }
 // comparator at all-ones (timer disarmed), mtime zero. The Perf counters
 // (host-side observability) survive.
 func (c *Clint) Reset() {
+	c.gen++
 	for i := range c.msip {
 		c.msip[i] = 0
 	}
@@ -83,6 +90,7 @@ func (c *Clint) Load(off uint64, size int) (uint64, bool) {
 
 // Store implements mem.Device.
 func (c *Clint) Store(off uint64, size int, v uint64) bool {
+	c.gen++
 	switch {
 	case off >= MsipOff && off < MsipOff+uint64(4*len(c.msip)):
 		if size != 4 || off%4 != 0 {
@@ -133,9 +141,13 @@ func writeReg(reg *uint64, off uint64, size int, v uint64) bool {
 func (c *Clint) Time() uint64 { return c.mtime }
 
 // SetTime sets mtime (used by machine reset and tests).
-func (c *Clint) SetTime(t uint64) { c.mtime = t }
+func (c *Clint) SetTime(t uint64) {
+	c.gen++
+	c.mtime = t
+}
 
-// Advance adds ticks to mtime.
+// Advance adds ticks to mtime. It does not move Gen: a caller caching the
+// lines must time the comparator crossings itself (NextCrossing).
 func (c *Clint) Advance(ticks uint64) { c.mtime += ticks }
 
 // Mtimecmp returns hart's timer deadline.
@@ -144,6 +156,7 @@ func (c *Clint) Mtimecmp(hart int) uint64 { return c.mtimecmp[hart] }
 // SetMtimecmp sets hart's timer deadline (SBI set_timer fast path).
 func (c *Clint) SetMtimecmp(hart int, v uint64) {
 	c.Perf.TimerPrograms++
+	c.gen++
 	c.mtimecmp[hart] = v
 }
 
@@ -152,6 +165,7 @@ func (c *Clint) Msip(hart int) bool { return c.msip[hart] != 0 }
 
 // SetMsip sets or clears hart's software-interrupt bit (IPI fast path).
 func (c *Clint) SetMsip(hart int, set bool) {
+	c.gen++
 	if set {
 		c.Perf.IPIPosts++
 		c.msip[hart] = 1
@@ -178,6 +192,7 @@ func (c *Clint) Checkpoint() Snapshot {
 
 // Restore rewinds the CLINT to a checkpoint taken on it earlier.
 func (c *Clint) Restore(s Snapshot) {
+	c.gen++
 	copy(c.msip, s.Msip)
 	copy(c.mtimecmp, s.Mtimecmp)
 	c.mtime = s.Mtime
@@ -193,4 +208,23 @@ func (c *Clint) Pending(hart int) uint64 {
 		p |= 1 << rv.IntMTimer
 	}
 	return p
+}
+
+// Gen returns the mutation generation (see Clint.gen).
+func (c *Clint) Gen() uint64 { return c.gen }
+
+// NextCrossing returns how many ticks mtime must advance before the next
+// change of some hart's MTIP line: the nearest comparator above mtime, or
+// mtime wrapping to zero, whichever comes first. ok is false when mtime
+// is zero and every comparator is at or below it — no advance of fewer
+// than 2^64 ticks changes anything.
+func (c *Clint) NextCrossing() (ticks uint64, ok bool) {
+	ticks = -c.mtime // the wrap: 2^64 - mtime
+	ok = c.mtime != 0
+	for _, t := range c.mtimecmp {
+		if t > c.mtime && (!ok || t-c.mtime < ticks) {
+			ticks, ok = t-c.mtime, true
+		}
+	}
+	return ticks, ok
 }

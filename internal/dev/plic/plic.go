@@ -32,13 +32,10 @@ type Plic struct {
 	enable    []uint32 // one word per context
 	threshold []uint32
 
-	// Pending() runs before every machine step, so its per-hart result is
-	// memoized and invalidated on any state change (register write, claim,
-	// Raise/Lower). The cache is gated so a fastpath-off run keeps the
-	// original per-step scan as the timing-neutral reference behaviour.
-	cacheOn bool
-	pend    []uint64 // per hart
-	pendOK  []bool
+	// gen counts the mutations that can change Pending: every store, a
+	// claim load, Raise, Lower, Reset and Restore. A machine that caches
+	// the interrupt lines re-derives them when gen moves.
+	gen uint64
 
 	// Perf counts interrupt servicing operations.
 	Perf struct {
@@ -54,15 +51,12 @@ func New(nHarts int) *Plic {
 		nCtx:      n,
 		enable:    make([]uint32, n),
 		threshold: make([]uint32, n),
-		cacheOn:   true,
-		pend:      make([]uint64, nHarts),
-		pendOK:    make([]bool, nHarts),
 	}
 }
 
 // Reset returns the PLIC to power-on state: all priorities zero, nothing
-// pending or claimed, every context disabled with threshold zero. The
-// cache mode and the Perf counters (host-side) survive.
+// pending or claimed, every context disabled with threshold zero. The Perf
+// counters (host-side) survive.
 func (p *Plic) Reset() {
 	p.priority = [MaxSources]uint32{}
 	p.pending, p.claimed = 0, 0
@@ -75,19 +69,11 @@ func (p *Plic) Reset() {
 	p.invalidate()
 }
 
-// SetCache enables or disables the Pending memoization (a host-side
-// accelerator with no architectural effect).
-func (p *Plic) SetCache(on bool) {
-	p.cacheOn = on
-	p.invalidate()
-}
+// invalidate records a mutation that can change Pending.
+func (p *Plic) invalidate() { p.gen++ }
 
-// invalidate drops all memoized Pending results.
-func (p *Plic) invalidate() {
-	for i := range p.pendOK {
-		p.pendOK[i] = false
-	}
-}
+// Gen returns the mutation generation (see Plic.gen).
+func (p *Plic) Gen() uint64 { return p.gen }
 
 // Name implements mem.Device.
 func (p *Plic) Name() string { return "plic" }
@@ -123,9 +109,6 @@ func (p *Plic) best(ctx int) int {
 
 // Pending returns the mip bits (MEIP and/or SEIP) the PLIC asserts for hart.
 func (p *Plic) Pending(hart int) uint64 {
-	if p.cacheOn && hart < len(p.pendOK) && p.pendOK[hart] {
-		return p.pend[hart]
-	}
 	var bitsOut uint64
 	if 2*hart < p.nCtx && p.best(2*hart) != 0 {
 		bitsOut |= 1 << rv.IntMExt
@@ -133,16 +116,11 @@ func (p *Plic) Pending(hart int) uint64 {
 	if 2*hart+1 < p.nCtx && p.best(2*hart+1) != 0 {
 		bitsOut |= 1 << rv.IntSExt
 	}
-	if p.cacheOn && hart < len(p.pendOK) {
-		p.pend[hart] = bitsOut
-		p.pendOK[hart] = true
-	}
 	return bitsOut
 }
 
 // Snapshot is a deep copy of the PLIC's architectural register state. The
-// Pending memoization (host-side cache) and the Perf counters (host-side
-// observability) are not part of the architecture and are not captured.
+// generation and the Perf counters (host-side) are not captured.
 type Snapshot struct {
 	Priority  [MaxSources]uint32
 	Pending   uint32
@@ -163,8 +141,7 @@ func (p *Plic) Checkpoint() Snapshot {
 	}
 }
 
-// Restore rewinds the PLIC to a checkpoint taken on a same-shape PLIC and
-// drops the Pending memoization.
+// Restore rewinds the PLIC to a checkpoint taken on a same-shape PLIC.
 func (p *Plic) Restore(s Snapshot) {
 	p.priority = s.Priority
 	p.pending = s.Pending

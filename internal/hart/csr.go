@@ -123,8 +123,11 @@ func newCSRFile(cfg *Config) CSRFile {
 // SetHWLines installs the interrupt lines asserted by the platform
 // interrupt controllers this cycle.
 func (c *CSRFile) SetHWLines(lines uint64) {
-	c.hwLines = lines & (rv.MIntMask | 1<<rv.IntSExt)
+	c.hwLines = lines & hwLineMask
 }
+
+// hwLineMask is the set of mip bits driven by platform lines.
+const hwLineMask = rv.MIntMask | 1<<rv.IntSExt
 
 // Mip composes the architectural mip value. time is the current mtime,
 // needed for the Sstc comparator when enabled.
@@ -150,7 +153,10 @@ func (c *CSRFile) SetMip(v uint64) {
 
 // SstcEnabled reports whether the Sstc stimecmp comparator is active.
 func (c *CSRFile) SstcEnabled() bool {
-	return c.cfg.HasSstc && c.Menvcfg&(1<<63) != 0
+	// STCE is writable only on Sstc profiles; testing it first spares the
+	// profile load elsewhere (the superblock headroom asks on every armed
+	// step).
+	return c.Menvcfg&(1<<63) != 0 && c.cfg.HasSstc
 }
 
 // mstatusMask returns the writable mstatus bits for this hart.

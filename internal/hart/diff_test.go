@@ -17,7 +17,13 @@ import (
 type diffLeaf struct {
 	path     string
 	excluded string // diffExcluded key the field sits under; "" if compared
-	mutate   func() (undo func())
+	// shape marks a perturbation of the machine's shape rather than its
+	// state: a slice grown by one element, a pointer swapped between nil
+	// and non-nil, an extra map key. A live machine has fixed register
+	// counts, harts and custom CSRs, so these cannot round-trip through
+	// one.
+	shape  bool
+	mutate func() (undo func())
 }
 
 // writable returns an addressable, settable view of v, unexported fields
@@ -43,6 +49,9 @@ func collectLeaves(path, excluded string, v reflect.Value, altMem *mem.RAMSnapsh
 	add := func(m func() func()) {
 		*out = append(*out, diffLeaf{path: path, excluded: excluded, mutate: m})
 	}
+	addShape := func(m func() func()) {
+		*out = append(*out, diffLeaf{path: path, excluded: excluded, shape: true, mutate: m})
+	}
 	switch v.Kind() {
 	case reflect.Bool:
 		add(setLeaf(v, reflect.ValueOf(!v.Bool()).Convert(v.Type())))
@@ -62,14 +71,14 @@ func collectLeaves(path, excluded string, v reflect.Value, altMem *mem.RAMSnapsh
 		}
 	case reflect.Slice:
 		longer := reflect.Append(v.Slice3(0, v.Len(), v.Len()), reflect.Zero(v.Type().Elem()))
-		add(setLeaf(v, longer))
+		addShape(setLeaf(v, longer))
 		for i := 0; i < v.Len(); i++ {
 			collectLeaves(path+"["+strconv.Itoa(i)+"]", excluded, v.Index(i), altMem, out)
 		}
 	case reflect.Map:
 		kt, et := v.Type().Key(), v.Type().Elem()
 		extra := reflect.ValueOf(^uint64(0)).Convert(kt)
-		add(func() func() {
+		addShape(func() func() {
 			v.SetMapIndex(extra, reflect.Zero(et))
 			return func() { v.SetMapIndex(extra, reflect.Value{}) }
 		})
@@ -88,13 +97,13 @@ func collectLeaves(path, excluded string, v reflect.Value, altMem *mem.RAMSnapsh
 		case v.Type() == ramSnapshotType:
 			add(setLeaf(v, reflect.ValueOf(altMem)))
 		case v.IsNil():
-			add(setLeaf(v, reflect.New(v.Type().Elem())))
+			addShape(setLeaf(v, reflect.New(v.Type().Elem())))
 		case excluded != "":
 			// An excluded pointer may be shared with the other image (the
 			// profile): swap it rather than write through it.
 			add(setLeaf(v, reflect.New(v.Type().Elem())))
 		default:
-			add(setLeaf(v, reflect.Zero(v.Type())))
+			addShape(setLeaf(v, reflect.Zero(v.Type())))
 			collectLeaves(path, excluded, v.Elem(), altMem, out)
 		}
 	case reflect.Struct:
@@ -232,4 +241,59 @@ func TestDiffImagesFrozenClock(t *testing.T) {
 	if d := DiffImages(want, got); d != "" {
 		t.Errorf("frozen clock: diff = %q, want the remainder ignored", d)
 	}
+}
+
+// TestSnapshotCapturesEveryField is the capture side of the image diff.
+// DiffImages compares everything an Image holds, but an oracle that
+// captures with the same Machine.Snapshot cannot see state that Snapshot
+// fails to capture (or LoadImageState fails to install) when nothing reads
+// it later. So for every compared leaf of a booted 2-hart H-profile image,
+// one at a time: perturb it, install the image into the live machine,
+// snapshot the machine again, and require the new image to equal the
+// perturbed one. Shape perturbations (see diffLeaf.shape) are skipped;
+// element-wise perturbations still cover the slices and maps they grow.
+func TestSnapshotCapturesEveryField(t *testing.T) {
+	m, _, img := bootedHImage(t)
+	if err := m.Bus.WriteBytes(DramBase+0x3000, []byte{0x5A}); err != nil {
+		t.Fatal(err)
+	}
+	altMem := m.Bus.Snapshot()
+
+	var leaves []diffLeaf
+	collectLeaves("", "", reflect.ValueOf(img).Elem(), altMem, &leaves)
+	checked := 0
+	for _, l := range leaves {
+		if l.excluded != "" || l.shape {
+			continue
+		}
+		undo := l.mutate()
+		if err := m.LoadImageState(img); err != nil {
+			// The DRAM size is the one scalar that is machine shape.
+			if l.path != "DramSize" {
+				t.Errorf("perturbing %s: LoadImageState: %v", l.path, err)
+			}
+			undo()
+			continue
+		}
+		again, err := m.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := DiffImages(img, again)
+		undo()
+		if d != "" {
+			t.Errorf("perturbing %s: the state does not survive LoadImageState + Snapshot: %s", l.path, d)
+		}
+		checked++
+	}
+	for _, p := range []string{"Harts[1].ResValid", "Plic.Enable[1]"} {
+		found := false
+		for _, l := range leaves {
+			found = found || (l.path == p && l.excluded == "" && !l.shape)
+		}
+		if !found {
+			t.Errorf("leaf %s not checked", p)
+		}
+	}
+	t.Logf("%d leaves round-tripped through a live machine", checked)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"govfm/internal/asm"
+	"govfm/internal/pmp"
 	"govfm/internal/rv"
 )
 
@@ -360,4 +361,103 @@ func TestFastPathSv39RandomizedLockstep(t *testing.T) {
 		})
 		runLockstep(t, fast, slow, 2000)
 	}
+}
+
+// TestFetchPageVerdictInvalidation targets the page fetch verdict: a fetch
+// on a page whose verdict was taken in another mode, or under other PMP
+// contents, must be checked afresh. The program drops from M to S on the
+// page it runs from with no PMP entry matching (S must fault although M
+// just fetched there), grants the page to S and runs there, then revokes
+// execute under a live S verdict (the next S fetch must fault).
+func TestFetchPageVerdictInvalidation(t *testing.T) {
+	toS := func(a *asm.Asm) {
+		a.La(asm.T0, "s_code")
+		a.Csrw(rv.CSRMepc, asm.T0)
+		a.Li(asm.T0, 1<<rv.MstatusMPPLo) // MPP = S
+		a.Csrrs(asm.X0, rv.CSRMstatus, asm.T0)
+		a.Mret()
+	}
+	expectCause := func(a *asm.Asm, cause uint64) {
+		a.Csrr(asm.T2, rv.CSRMcause)
+		a.Li(asm.T1, cause)
+		a.Bne(asm.T2, asm.T1, "fail")
+	}
+	fast, slow := fastSlowPair(t, func(a *asm.Asm) {
+		a.La(asm.T0, "handler")
+		a.Csrw(rv.CSRMtvec, asm.T0)
+		toS(a)
+
+		a.Label("handler")
+		a.Addi(asm.S2, asm.S2, 1)
+		a.Li(asm.T1, 1)
+		a.Beq(asm.S2, asm.T1, "grant")
+		a.Li(asm.T1, 2)
+		a.Beq(asm.S2, asm.T1, "revoke")
+		expectCause(a, rv.ExcInstrAccessFault)
+		a.Li(asm.T1, 3)
+		a.Bne(asm.A0, asm.T1, "fail")
+		exit(a)
+
+		a.Label("grant")
+		expectCause(a, rv.ExcInstrAccessFault)
+		a.Li(asm.T0, pmp.NAPOTAddr(DramBase, 1<<20))
+		a.Csrw(rv.CSRPmpaddr0, asm.T0)
+		a.Li(asm.T0, pmp.CfgR|pmp.CfgW|pmp.CfgX|pmp.ANapot<<3)
+		a.Csrw(rv.CSRPmpcfg0, asm.T0)
+		toS(a)
+
+		a.Label("revoke")
+		expectCause(a, rv.ExcEcallFromS)
+		a.Li(asm.T0, pmp.CfgR|pmp.CfgW|pmp.ANapot<<3)
+		a.Csrw(rv.CSRPmpcfg0, asm.T0)
+		toS(a)
+
+		a.Label("s_code")
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Addi(asm.A0, asm.A0, 1)
+		a.Ecall()
+
+		a.Label("fail")
+		a.Li(asm.T6, ExitBase)
+		a.Li(asm.T5, ExitFail)
+		a.Sd(asm.T5, asm.T6, 0)
+	})
+	h := runLockstep(t, fast, slow, 200)
+	if h.Perf.PMPPageHits == 0 {
+		t.Error("no fetch was answered by a page verdict")
+	}
+}
+
+// TestFetchPageVerdictLockedRevoke changes the PMP contents under a live
+// verdict with no fetch in between on another page or in another mode:
+// M-mode code locks a read-only entry over its own page, so the very next
+// fetch there must fault although the page, the mode and the cached
+// verdict are unchanged. Only the content id tells the verdict is stale.
+func TestFetchPageVerdictLockedRevoke(t *testing.T) {
+	fast, slow := fastSlowPair(t, func(a *asm.Asm) {
+		a.La(asm.T0, "handler")
+		a.Csrw(rv.CSRMtvec, asm.T0)
+		a.Li(asm.T0, pmp.NAPOTAddr(DramBase, 4096))
+		a.Csrw(rv.CSRPmpaddr0, asm.T0)
+		a.Li(asm.T0, pmp.CfgL|pmp.CfgR|pmp.ANapot<<3)
+		a.Csrw(rv.CSRPmpcfg0, asm.T0)
+		a.Addi(asm.A0, asm.A0, 1) // must not execute
+		a.Li(asm.T6, ExitBase)
+		a.Li(asm.T5, ExitFail)
+		a.Sd(asm.T5, asm.T6, 0)
+
+		a.Align(4096)
+		a.Label("handler")
+		a.Csrr(asm.T2, rv.CSRMcause)
+		a.Li(asm.T1, rv.ExcInstrAccessFault)
+		a.Bne(asm.T2, asm.T1, "fail")
+		a.Bnez(asm.A0, "fail")
+		exit(a)
+		a.Label("fail")
+		a.Li(asm.T6, ExitBase)
+		a.Li(asm.T5, ExitFail)
+		a.Sd(asm.T5, asm.T6, 0)
+	})
+	runLockstep(t, fast, slow, 100)
 }

@@ -55,6 +55,11 @@ type Hart struct {
 	Cfg *Config
 	Bus *mem.Bus
 	CSR CSRFile
+	// latched holds the interrupt lines the sequential scheduler last
+	// latched for this hart; it installs them into CSR.hwLines before each
+	// step (Machine.stepSeq). It sits beside CSR so the install touches
+	// one cache line.
+	latched uint64
 
 	Regs [32]uint64
 	PC   uint64
@@ -405,7 +410,7 @@ func (h *Hart) returnSRET() {
 // hvip&hie; mideleg routes each code to M or (H)S, and hideleg splits the
 // supervisor tier into HS targets and in-guest VS delivery.
 func (h *Hart) pendingInterrupt() (uint64, bool) {
-	pending := h.CSR.Mip(h.Time()) & h.CSR.Mie
+	pending := h.mip() & h.CSR.Mie
 	if h.Cfg.HasH {
 		pending |= h.CSR.Hvip & h.CSR.Hie
 	}
@@ -449,6 +454,18 @@ func (h *Hart) pendingInterrupt() (uint64, bool) {
 	return 0, false
 }
 
+// mip is CSRFile.Mip at the current time. The clock matters only to the
+// Sstc comparator, so unless menvcfg.STCE is set it is not read (and mip
+// inlines; Mip itself checks that the profile has Sstc).
+func (h *Hart) mip() uint64 {
+	if h.CSR.Menvcfg&(1<<63) != 0 {
+		return h.mipSstc()
+	}
+	return h.CSR.mipSW | h.CSR.hwLines
+}
+
+func (h *Hart) mipSstc() uint64 { return h.CSR.Mip(h.Time()) }
+
 // Interrupt priority orders, hoisted so pendingInterrupt allocates nothing.
 var (
 	mIntPriority = [...]uint64{rv.IntMExt, rv.IntMSoft, rv.IntMTimer,
@@ -480,7 +497,7 @@ func (h *Hart) Step() {
 		// enables; that case was handled above only for *deliverable*
 		// interrupts, so also check the raw pending set (including VS-level
 		// sources injected through hvip).
-		wake := h.CSR.Mip(h.Time())&h.CSR.Mie != 0
+		wake := h.mip()&h.CSR.Mie != 0
 		if h.Cfg.HasH && h.CSR.Hvip&h.CSR.Hie != 0 {
 			wake = true
 		}

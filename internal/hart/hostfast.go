@@ -66,6 +66,15 @@ type fastState struct {
 	lastPageBase uint64
 	lastPage     *decPage
 
+	// xPage|1, xEpoch and xMode record a page fetch verdict: the PMP
+	// allows execution anywhere on physical page xPage in mode xMode while
+	// the PMP content id is xEpoch (pmp.File.PageAllows), so fetches there
+	// skip the per-fetch check. xPage is 0 when no verdict is held; the
+	// low bit keeps a verdict for page 0 distinct from that.
+	xPage  uint64
+	xEpoch uint64
+	xMode  rv.Mode
+
 	// ptePages is the set of physical pages some cached TLB entry read
 	// its PTEs from. A write to any of them flushes the whole TLB: page
 	// tables change rarely, so precision is not worth per-entry tracking.
@@ -135,6 +144,7 @@ func (h *Hart) flushDecode() {
 	clear(h.fast.pages)
 	h.fast.lastPage, h.fast.lastPageBase = nil, 0
 	h.fast.fetchDP = nil
+	h.fast.xPage = 0
 }
 
 // flushTLB drops every cached translation (sfence.vma, satp write,
@@ -244,8 +254,8 @@ func (h *Hart) translate(va uint64, acc mem.AccessType, priv rv.Mode, virt bool)
 
 // fetchFast returns the predecoded instruction at PC. It performs exactly
 // the architectural work of fetch() — alignment check, translation, PMP,
-// bus read — except that translation may hit the TLB and the decode may
-// hit the per-page cache.
+// bus read — except that translation may hit the TLB, the PMP check may be
+// answered by the page verdict, and the decode may hit the per-page cache.
 func (h *Hart) fetchFast() (*rv.Decoded, *Exc) {
 	if h.PC&3 != 0 {
 		return nil, h.exc(rv.ExcInstrAddrMisaligned, h.PC)
@@ -255,10 +265,15 @@ func (h *Hart) fetchFast() (*rv.Decoded, *Exc) {
 	if ei != nil {
 		return nil, ei
 	}
-	if !h.CSR.PMP.Check(pa, 4, mem.Exec, h.Mode) {
+	pageBase := pa &^ 4095
+	if h.fast.xPage == pageBase|1 && h.fast.xMode == h.Mode &&
+		h.fast.xEpoch == h.CSR.PMP.Epoch() {
+		h.Perf.PMPPageHits++
+	} else if h.CSR.PMP.PageAllows(pageBase, mem.Exec, h.Mode) {
+		h.fast.xPage, h.fast.xMode, h.fast.xEpoch = pageBase|1, h.Mode, h.CSR.PMP.Epoch()
+	} else if !h.CSR.PMP.Check(pa, 4, mem.Exec, h.Mode) {
 		return nil, h.exc(rv.ExcInstrAccessFault, h.PC)
 	}
-	pageBase := pa &^ 4095
 	dp := h.fast.lastPage
 	if dp == nil || h.fast.lastPageBase != pageBase {
 		dp = h.fast.pages[pageBase]

@@ -115,6 +115,9 @@ func (m *Machine) LoadImageState(img *Image) error {
 	if (img.IOPMP != nil) != (m.IOPMP != nil) {
 		return fmt.Errorf("hart: image and machine disagree on IOPMP presence")
 	}
+	if img.DramSize != m.DramSize {
+		return fmt.Errorf("hart: image has %#x bytes of DRAM, machine has %#x", img.DramSize, m.DramSize)
+	}
 	if err := m.Bus.LoadSnapshot(img.Mem); err != nil {
 		return err
 	}
@@ -130,6 +133,7 @@ func (m *Machine) LoadImageState(img *Image) error {
 		m.IOPMP.Restore(*img.IOPMP)
 	}
 	m.timeRemainder = img.TimeRemainder
+	m.ev.horizon = 0 // the remainder moved: re-derive the horizon
 	m.halted = img.Halted
 	m.haltReason = img.HaltReason
 	m.Sched, m.Quantum = img.Sched, img.Quantum

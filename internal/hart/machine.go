@@ -2,6 +2,7 @@ package hart
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"govfm/internal/dev/clint"
@@ -81,6 +82,13 @@ type Machine struct {
 
 	timeRemainder uint64
 
+	// fast mirrors SetFastPath: on, the sequential scheduler latches the
+	// interrupt lines from the event horizon ev; off, from the devices on
+	// every step (the reference behaviour the equivalence gate compares
+	// against).
+	fast bool
+	ev   lineCache
+
 	// trace receives scheduler barrier instants (AttachObs).
 	trace *obs.Tracer
 	// par is the parallel scheduler's reusable round state.
@@ -100,6 +108,7 @@ func NewMachine(cfg *Config, dramSize uint64) (*Machine, error) {
 		Plic:     plic.New(cfg.Harts),
 		Uart:     uart.New(),
 		DramSize: dramSize,
+		fast:     true,
 	}
 	m.DMA = NewDMAEngine(m.Bus)
 	if err := m.Bus.AddRAM(DramBase, dramSize); err != nil {
@@ -154,15 +163,17 @@ func (m *Machine) halt(reason string) {
 func (m *Machine) Halted() (bool, string) { return m.halted, m.haltReason }
 
 // SetFastPath toggles every host-side acceleration cache in the machine:
-// the harts' predecode/TLB/flattened-PMP caches and the PLIC's pending
-// memoization. Off reproduces the pre-acceleration simulator exactly; the
-// architectural results are identical either way (enforced by the
-// equivalence gate, fuzzdiff -equiv).
+// the harts' predecode/TLB/flattened-PMP caches and page fetch verdicts,
+// and the sequential scheduler's cached interrupt lines. Off reproduces
+// the pre-acceleration simulator exactly; the architectural results are
+// identical either way (enforced by the equivalence gate, fuzzdiff
+// -equiv).
 func (m *Machine) SetFastPath(on bool) {
 	for _, h := range m.Harts {
 		h.SetFastPath(on)
 	}
-	m.Plic.SetCache(on)
+	m.fast = on
+	m.ev.horizon = 0
 }
 
 // SetSuperblock toggles the superblock binary-translation tier on every
@@ -227,6 +238,7 @@ func (m *Machine) Reset(pc uint64) {
 	m.halted = false
 	m.haltReason = ""
 	m.timeRemainder = 0
+	m.ev.horizon = 0
 	m.Clint.Reset()
 	m.Plic.Reset()
 	m.Uart.Reset()
@@ -241,103 +253,187 @@ func (m *Machine) Reset(pc uint64) {
 // is always the sequential scheduler; Run dispatches on Sched.
 func (m *Machine) Step() { m.stepSeq(1) }
 
-// stepSeq runs one sequential machine step with a step budget. With a
-// budget above one and an eligible machine — a single hart with the
-// superblock tier and fast paths on, and no per-step watchdog — the hart
-// may retire up to budget instructions from one translated superblock
-// within this step. The block is bounded by sbSeqHeadroom so mtime, the
-// interrupt latch points, and the whole architectural trace stay
-// bit-identical to per-instruction stepping. The return value is the
-// number of sequential steps this call was equivalent to (>= 1).
-func (m *Machine) stepSeq(budget uint64) uint64 {
-	// Latch every hart's interrupt lines before any hart steps, so an MSIP
-	// or mtimecmp write during this step becomes visible to every hart at
-	// the same step boundary. (Sampling per hart just before its own step
-	// made visibility asymmetric by hart ID: hart 0's IPI reached hart 1
-	// within the step, but not vice versa.)
-	for _, h := range m.Harts {
-		h.CSR.SetHWLines(m.Clint.Pending(h.ID) | m.Plic.Pending(h.ID))
+// lineCache is the sequential scheduler's event horizon. The interrupt
+// lines a hart sees are a function of the CLINT and PLIC registers and of
+// mtime. Register changes move a device generation; mtime changes MTIP
+// only when it reaches a comparator above it (or wraps). With
+// T = mtime·CyclesPerTick + timeRemainder, every step raises T by exactly
+// the cycles the slowest hart consumed, and a comparator c is reached at
+// the first latch with T ≥ c·CyclesPerTick. So the cycles left until the
+// next crossing is one counter, decremented per step, and the lines
+// latched at the last relatch stay exact until a generation moves or the
+// counter runs out.
+type lineCache struct {
+	// Each hart's latched lines live beside it (Hart.latched).
+	clintGen, plicGen uint64 // device generations at the last latch
+	// horizon is the consumption, in cycles, after which the next timer
+	// crossing has happened; 0 forces a relatch at the next step.
+	horizon   uint64
+	relatches uint64 // latches taken with the fast path on (observability)
+}
+
+// never is the horizon of an event that cannot happen.
+const never = ^uint64(0)
+
+// cyclesUntil converts a distance of d ticks (d ≥ 1) into the cycles of
+// consumption after which the tick is reached, given that rem cycles
+// toward the next tick are already consumed. It saturates at zero and
+// returns never when d·cpt overflows.
+func cyclesUntil(d, cpt, rem uint64) uint64 {
+	hi, lo := bits.Mul64(d, cpt)
+	switch {
+	case hi != 0:
+		return never
+	case lo <= rem:
+		return 0
 	}
-	stepEq := uint64(1)
-	var maxConsumed uint64
+	return lo - rem
+}
+
+// latch reads every hart's lines from the devices into the cache and
+// re-derives the event horizon.
+func (m *Machine) latch() {
+	if m.fast {
+		m.ev.relatches++
+	}
+	m.ev.clintGen, m.ev.plicGen = m.Clint.Gen(), m.Plic.Gen()
+	for _, h := range m.Harts {
+		h.latched = (m.Clint.Pending(h.ID) | m.Plic.Pending(h.ID)) & hwLineMask
+	}
+	m.ev.horizon = never
+	if cpt := m.Cfg.CyclesPerTick; cpt != 0 {
+		if d, ok := m.Clint.NextCrossing(); ok {
+			m.ev.horizon = cyclesUntil(d, cpt, m.timeRemainder)
+		}
+	}
+}
+
+// stepSeq runs sequential machine steps until budget steps are done or
+// the machine halts, and returns how many it ran (>= 1). A step is one
+// instruction (or interrupt entry, or idle poll) per hart, in hart-ID
+// order. With a budget above one and an eligible machine — a single hart
+// with the superblock tier and fast paths on, and no per-step watchdog —
+// one call runs one step through stepSeqOne instead, which may retire up
+// to budget instructions from one translated superblock or batch idle
+// polls; the return value is then the number of sequential steps that
+// step was equivalent to.
+//
+// Every hart's interrupt lines are latched before any hart steps, so an
+// MSIP or mtimecmp write during this step becomes visible to every hart
+// at the same step boundary. (Sampling per hart just before its own step
+// made visibility asymmetric by hart ID: hart 0's IPI reached hart 1
+// within the step, but not vice versa.) With the fast path off the
+// devices are read on every step; with it on, only when a device
+// generation moved or the event horizon ran out. Either way the lines
+// are installed into each hart from the cache, which also overwrites
+// whatever a hart-level restore left in hwLines.
+func (m *Machine) stepSeq(budget uint64) uint64 {
 	// Superblocks stay off on multi-hart machines under this scheduler:
 	// one hart leaping ahead would change the per-instruction round-robin
 	// interleaving the machine's memory model is defined by.
-	arm := budget > 1 && len(m.Harts) == 1
-	for _, h := range m.Harts {
-		before := h.Cycles
-		if arm && h.sb.on && h.fast.on && h.Watchdog == nil &&
-			h.Waiting && !h.Stopped && !h.Halted {
-			// WFI fast-forward: batch the idle polls this step's latch has
-			// already proven identical (see wfiBatch). Falls through to a
-			// normal step when the hart is waking or a comparator is close.
-			if k := m.wfiBatch(h, budget); k > 0 {
-				if k > stepEq {
-					stepEq = k
-				}
-				if c := h.Cycles - before; c > maxConsumed {
-					maxConsumed = c
-				}
-				continue
-			}
-		}
-		if arm && h.sb.on && h.fast.on && h.Watchdog == nil &&
-			!h.Waiting && !h.Stopped && !h.Halted {
-			// The timer-headroom cycle limit is deferred to runBlock via
-			// the lazy closure: most armed steps never dispatch a block
-			// (cold code, untranslatable entries, waiting in a trap
-			// handler), and paying sbSeqHeadroom's divisions on each of
-			// them shows up on trap-heavy workloads.
-			if h.sb.limitFn == nil {
-				hh := h
-				h.sb.limitFn = func() uint64 { return m.sbSeqHeadroom(hh) }
-			}
-			h.sb.armed = true
-			h.sb.lazyLimit = true
-			h.sb.stepLimit = budget
-			h.Step()
-			h.sb.armed = false
-			h.sb.lazyLimit = false
-			if h.sb.retired > stepEq {
-				stepEq = h.sb.retired
-			}
+	var one *Hart
+	if budget > 1 && len(m.Harts) == 1 && m.fast {
+		if h := m.Harts[0]; h.sb.on && h.fast.on && h.Watchdog == nil && !h.Stopped && !h.Halted {
+			one = h
 		} else {
+			budget = 1 // eligibility is re-checked on every step
+		}
+	}
+	for n := uint64(1); ; n++ {
+		// The cached lines are exact unless the fast path is off, a
+		// device generation moved, or the horizon ran out.
+		if !m.fast || m.ev.horizon == 0 ||
+			m.ev.clintGen != m.Clint.Gen() || m.ev.plicGen != m.Plic.Gen() {
+			m.latch()
+		}
+		if one != nil {
+			return m.stepSeqOne(one, budget)
+		}
+		var maxConsumed uint64
+		for _, h := range m.Harts {
+			h.CSR.hwLines = h.latched
+			before := h.Cycles
 			h.Step()
+			if h.Watchdog != nil {
+				h.Watchdog(h)
+			}
+			if c := h.Cycles - before; c > maxConsumed {
+				maxConsumed = c
+			}
+			if h.Halted && !m.halted {
+				m.halt("hart-halt: " + h.HaltReason)
+			}
 		}
-		if h.Watchdog != nil {
-			h.Watchdog(h)
-		}
-		if c := h.Cycles - before; c > maxConsumed {
-			maxConsumed = c
-		}
-		if h.Halted && !m.halted {
-			m.halt("hart-halt: " + h.HaltReason)
+		m.stepSeqClock(maxConsumed)
+		if n >= budget || m.halted {
+			return n
 		}
 	}
-	m.timeRemainder += maxConsumed
-	if m.Cfg.CyclesPerTick > 0 {
-		m.Clint.Advance(m.timeRemainder / m.Cfg.CyclesPerTick)
-		m.timeRemainder %= m.Cfg.CyclesPerTick
+}
+
+// stepSeqOne is stepSeq for the single eligible hart h. A running hart's
+// step is armed for a superblock bounded by sbSeqHeadroom, so mtime, the
+// interrupt latch points, and the whole architectural trace stay
+// bit-identical to per-instruction stepping. A waiting hart's idle polls
+// are batched by wfiBatch, falling through to a normal step when the hart
+// is waking or the horizon is close.
+func (m *Machine) stepSeqOne(h *Hart, budget uint64) uint64 {
+	h.CSR.hwLines = h.latched
+	before := h.Cycles
+	steps := uint64(1)
+	if h.Waiting {
+		if k := m.wfiBatch(h, budget); k > 0 {
+			m.stepSeqClock(h.Cycles - before)
+			return k
+		}
+		h.Step()
+	} else {
+		h.sb.armed = true
+		h.sb.cycleLimit = m.sbSeqHeadroom(h)
+		h.sb.stepLimit = budget
+		h.Step()
+		h.sb.armed = false
+		steps = h.sb.retired
 	}
-	return stepEq
+	if h.Halted && !m.halted {
+		m.halt("hart-halt: " + h.HaltReason)
+	}
+	m.stepSeqClock(h.Cycles - before)
+	return steps
+}
+
+// stepSeqClock advances the shared wall clock by the cycles the slowest
+// hart consumed this step, and the event horizon with it. The division
+// runs only when a whole tick has accumulated.
+func (m *Machine) stepSeqClock(consumed uint64) {
+	m.timeRemainder += consumed
+	if cpt := m.Cfg.CyclesPerTick; cpt != 0 && m.timeRemainder >= cpt {
+		m.Clint.Advance(m.timeRemainder / cpt)
+		m.timeRemainder %= cpt
+	}
+	if consumed < m.ev.horizon {
+		m.ev.horizon -= consumed
+	} else {
+		m.ev.horizon = 0
+	}
 }
 
 // wfiBatch advances a WFI-waiting hart by up to budget idle polls in one
 // call, returning how many sequential steps it was equivalent to (0 = not
 // applicable, the caller must take a normal step). It is the idle-tail
 // counterpart of the superblock cycle-budget argument: an idle poll reads
-// only state that is constant between timer-comparator crossings (devices
-// change state on MMIO or mtime ticks, never spontaneously, and no other
-// hart runs — the caller gates on a single-hart machine), so k identical
-// polls can be charged at once provided every batched poll's latch point
-// would still have seen the comparators in the future. sbSeqHeadroom gives
-// exactly that horizon. Cycles, mtime advancement, and the wake step all
-// land bit-identically with per-instruction stepping.
+// only state that is constant until the event horizon (devices change
+// state on MMIO or mtime crossings, never spontaneously, and no other hart
+// runs — the caller gates on a single-hart machine), so k identical polls
+// can be charged at once provided every batched poll's latch point comes
+// before the horizon. sbSeqHeadroom gives exactly that distance. Cycles,
+// mtime advancement, and the wake step all land bit-identically with
+// per-instruction stepping.
 func (m *Machine) wfiBatch(h *Hart, budget uint64) uint64 {
 	// Mirror the idle-poll preconditions of Hart.Step exactly: a deliverable
 	// or merely-pending-and-enabled interrupt wakes the hart, and Mie == 0
 	// is a lockup halt — all handled by the normal step path.
-	if h.CSR.Mip(h.Time())&h.CSR.Mie != 0 || h.CSR.Mie == 0 {
+	if h.mip()&h.CSR.Mie != 0 || h.CSR.Mie == 0 {
 		return 0
 	}
 	w := h.Cfg.Cost.WFIIdle
@@ -351,7 +447,7 @@ func (m *Machine) wfiBatch(h *Hart, budget uint64) uint64 {
 	// Poll i (1-based) latches with consumed (i-1)*w, which must stay
 	// strictly below the headroom, so at most ceil(l/w) polls batch.
 	k := budget
-	if l != ^uint64(0) && (l+w-1)/w < k {
+	if l != never && (l+w-1)/w < k {
 		k = (l + w - 1) / w
 	}
 	if k > 1<<32 {
@@ -365,42 +461,25 @@ func (m *Machine) wfiBatch(h *Hart, budget uint64) uint64 {
 }
 
 // sbSeqHeadroom returns how many cycles hart h may consume inside one
-// sequential machine step before a timer comparator that is currently in
-// the future would fire — i.e. before per-instruction stepping would have
-// latched a newly pending timer interrupt between two instructions. Blocks
-// must stop strictly below this limit. Timers are the only mip sources
-// that can change mid-block: every other contributor needs an MMIO store,
-// a CSR write, or a trap, all of which terminate a block (and external
-// input from a harness arrives between Run calls, not mid-step).
+// sequential machine step before per-instruction stepping would have
+// latched a different interrupt state between two instructions: the
+// machine's event horizon, and under Sstc also the distance to the hart's
+// stimecmp. Blocks must stop strictly below this limit. Timers are the
+// only mip sources that can change mid-block: every other contributor
+// needs an MMIO store, a CSR write, or a trap, all of which terminate a
+// block (and external input from a harness arrives between Run calls, not
+// mid-step). The horizon is current here: stepSeq refreshed it before any
+// hart stepped.
 func (m *Machine) sbSeqHeadroom(h *Hart) uint64 {
-	cpt := m.Cfg.CyclesPerTick
-	if cpt == 0 {
-		return ^uint64(0) // frozen clock: no timer can ever fire
-	}
-	now := m.Clint.Time()
-	limit := ^uint64(0)
-	consider := func(t uint64) {
-		if t <= now {
-			// Already expired: pending (or masked) exactly as the
-			// interpreter sees it; nothing new can fire mid-block.
-			return
-		}
-		d := t - now
-		if d > ^uint64(0)/cpt {
-			return // unreachably far: d*cpt would overflow
-		}
-		// The interpreter latches before each instruction with
-		// mtime = now + (timeRemainder+consumed)/cpt, so the comparator
-		// stays in the future exactly while consumed < d*cpt - remainder.
-		if l := d*cpt - m.timeRemainder; l < limit {
-			limit = l
+	l := m.ev.horizon
+	if cpt := m.Cfg.CyclesPerTick; cpt != 0 && h.CSR.SstcEnabled() {
+		// An expired stimecmp is pending (or masked) exactly as the
+		// interpreter sees it; only one still ahead can fire mid-block.
+		if now := m.Clint.Time(); h.CSR.Stimecmp > now {
+			l = min(l, cyclesUntil(h.CSR.Stimecmp-now, cpt, m.timeRemainder))
 		}
 	}
-	consider(m.Clint.Mtimecmp(h.ID))
-	if h.CSR.SstcEnabled() {
-		consider(h.CSR.Stimecmp)
-	}
-	return limit
+	return l
 }
 
 // Run advances the machine until it halts or maxSteps machine steps elapse

@@ -36,6 +36,9 @@ type PerfCounters struct {
 	SBRetired      uint64
 	SBGuardMisses  uint64
 	SBAborts       uint64
+	// Fetches whose PMP check the page verdict answered (fetchFast). They
+	// are not counted in the PMP file's Perf.Checks.
+	PMPPageHits uint64
 }
 
 // trapCauseIndex maps an mcause value into TrapsByCause: exception codes
@@ -83,7 +86,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 	}
 	r.Collect(func(emit func(name string, value uint64)) {
 		var tlbH, tlbM, decH, decM, walks, traps, instret, cycles uint64
-		var sbT, sbH, sbR, sbG, sbA uint64
+		var sbT, sbH, sbR, sbG, sbA, pageHits uint64
 		for _, h := range m.Harts {
 			p := &h.Perf
 			pfx := fmt.Sprintf("hart%d.", h.ID)
@@ -101,8 +104,10 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 					emit(pfx+trapNames[i], n)
 				}
 			}
+			// pmp.checks leaves out the fetches the page verdict answered.
 			emit(pfx+"pmp.checks", h.CSR.PMP.Perf.Checks)
 			emit(pfx+"pmp.fast_hits", h.CSR.PMP.Perf.FastHits)
+			emit(pfx+"fetch.pmp_page_hits", p.PMPPageHits)
 			emit(pfx+"sb.translations", p.SBTranslations)
 			emit(pfx+"sb.hits", p.SBHits)
 			emit(pfx+"sb.retired", p.SBRetired)
@@ -121,6 +126,7 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 			sbR += p.SBRetired
 			sbG += p.SBGuardMisses
 			sbA += p.SBAborts
+			pageHits += p.PMPPageHits
 		}
 		emit("sim.cycles", cycles)
 		emit("sim.instret", instret)
@@ -137,6 +143,11 @@ func (m *Machine) AttachObs(o *obs.Observer) {
 		emit("sim.sb.retired", sbR)
 		emit("sim.sb.guard_misses", sbG)
 		emit("sim.sb.aborts", sbA)
+		emit("sim.fetch.pmp_page_hits", pageHits)
+		// Interrupt-line relatches of the sequential scheduler's fast path
+		// (stepSeq); the per-step latch with the fast path off and the
+		// parallel scheduler's per-round latch are not counted.
+		emit("sim.sched.relatches", m.ev.relatches)
 		// Share of all retired instructions that ran inside superblocks.
 		// (Perf counters survive Machine.Reset while instret does not, so
 		// guard the subtraction across reboots.)

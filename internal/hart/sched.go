@@ -240,6 +240,8 @@ func (m *Machine) parRound(quantum uint64, caps []uint64) uint64 {
 		m.Clint.Advance(m.timeRemainder / m.Cfg.CyclesPerTick)
 		m.timeRemainder %= m.Cfg.CyclesPerTick
 	}
+	// The sequential scheduler's event horizon did not see this advance.
+	m.ev.horizon = 0
 	if m.trace != nil {
 		m.trace.Instant(0, harts[0].Cycles, "sched:barrier")
 	}

@@ -26,8 +26,8 @@ package hart
 //
 //  2. Cycle-budget headroom. Blocks stop before the point where a
 //     per-instruction scheduler would have intervened: under SchedPar the
-//     limit is the remaining quantum, under SchedSeq the distance to the
-//     next timer comparator (Machine.sbSeqHeadroom), so interrupt latch
+//     limit is the remaining quantum, under SchedSeq the machine's event
+//     horizon (Machine.sbSeqHeadroom), so interrupt latch
 //     points — and therefore the whole architectural trace — land exactly
 //     where the interpreter would put them.
 //
@@ -91,14 +91,6 @@ type sbState struct {
 	cycleLimit uint64
 	stepLimit  uint64
 	retired    uint64
-
-	// lazyLimit, when set by the sequential scheduler, supplies cycleLimit
-	// on demand (Machine.sbSeqHeadroom). Computing the timer headroom costs
-	// a few divisions, so the scheduler defers it to the dispatch that
-	// actually runs a block instead of paying it on every step; limitFn is
-	// the per-hart closure, allocated once.
-	lazyLimit bool
-	limitFn   func() uint64
 
 	// Per-dispatch hoisted data-access state: the effective privilege
 	// (MPRV honoured), whether translation is bare, and the TLB validity
@@ -271,9 +263,6 @@ func (h *Hart) runBlock(sb *sblock) uint64 {
 	h.sb.endAfter = false
 	start := h.Cycles
 	limitC, limitS := h.sb.cycleLimit, h.sb.stepLimit
-	if h.sb.lazyLimit {
-		limitC = h.sb.limitFn()
-	}
 	smode := h.Mode == rv.ModeS
 	cInstr := h.Cfg.Cost.Instr
 	var n uint64

@@ -109,6 +109,69 @@ func TestCheckFastAfterMutation(t *testing.T) {
 	}
 }
 
+// TestPageAllowsImpliesCheck is the oracle for the page fetch verdict: on
+// random register files, whenever PageAllows grants a page, the
+// architectural scan must allow every aligned fetch-sized access of that
+// type and mode on it. Pages next to region boundaries are drawn often,
+// so sub-page regions and split pages occur.
+func TestPageAllowsImpliesCheck(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	accs := []mem.AccessType{mem.Read, mem.Write, mem.Exec}
+	modes := []rv.Mode{rv.ModeM, rv.ModeS, rv.ModeU}
+	granted := 0
+	for trial := 0; trial < 300; trial++ {
+		f := randomFile(rng, []int{0, 1, 4, 16}[rng.Intn(4)])
+		for q := 0; q < 40; q++ {
+			var page uint64
+			if i := rng.Intn(f.n + 1); i < f.n && rng.Intn(2) == 0 {
+				if lo, last, ok := f.Region(i); ok {
+					page = []uint64{lo, last}[rng.Intn(2)] &^ 4095
+				}
+			} else {
+				page = rng.Uint64() >> (rng.Intn(40) + 8) &^ 4095
+			}
+			acc := accs[rng.Intn(len(accs))]
+			mode := modes[rng.Intn(len(modes))]
+			if !f.PageAllows(page, acc, mode) {
+				continue
+			}
+			granted++
+			for off := uint64(0); off < 4096; off += 4 {
+				if !f.checkScan(page+off, 4, acc, mode) {
+					t.Fatalf("trial %d: PageAllows(%#x, %v, %v) but the scan denies %#x\ncfg=%v\naddr=%v",
+						trial, page, acc, mode, page+off, f.cfg[:f.n], f.addr[:f.n])
+				}
+			}
+		}
+	}
+	if granted == 0 {
+		t.Fatal("no page was ever granted")
+	}
+}
+
+// TestPageAllowsSplitPage: a page split by a sub-page region gets no
+// verdict even where both parts allow the access, and a whole page inside
+// one region does.
+func TestPageAllowsSplitPage(t *testing.T) {
+	f := NewFile(4)
+	f.ForceAddr(0, NAPOTAddr(0x80000100, 0x100))
+	f.ForceCfg(0, CfgR|CfgX|ANapot<<3)
+	f.ForceAddr(1, NAPOTAddr(0x80000000, 0x10000))
+	f.ForceCfg(1, CfgR|CfgW|CfgX|ANapot<<3)
+	if f.PageAllows(0x80000000, mem.Exec, rv.ModeS) {
+		t.Error("page split by entry 0 got a verdict")
+	}
+	if !f.PageAllows(0x80001000, mem.Exec, rv.ModeS) {
+		t.Error("page wholly inside entry 1 got no verdict")
+	}
+	if f.PageAllows(0x80010000, mem.Exec, rv.ModeS) {
+		t.Error("S-mode page outside every entry got a verdict")
+	}
+	if !f.PageAllows(0x80010000, mem.Exec, rv.ModeM) {
+		t.Error("M-mode page outside every entry got no verdict")
+	}
+}
+
 // BenchmarkCheck compares the scan and flattened lookups on a file shaped
 // like the monitor's world-switch PMP programming (a few active regions).
 func BenchmarkCheck(b *testing.B) {

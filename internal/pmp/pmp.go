@@ -447,19 +447,7 @@ func (f *File) checkScan(addr uint64, size int, acc mem.AccessType, mode rv.Mode
 		case PartialMatch:
 			return false
 		case FullMatch:
-			cfg := f.cfg[i]
-			if mode == rv.ModeM && cfg&CfgL == 0 {
-				return true
-			}
-			switch acc {
-			case mem.Read:
-				return cfg&CfgR != 0
-			case mem.Write:
-				return cfg&CfgW != 0
-			case mem.Exec:
-				return cfg&CfgX != 0
-			}
-			return false
+			return permits(f.cfg[i], acc, mode)
 		}
 	}
 	if mode == rv.ModeM {
@@ -532,26 +520,7 @@ func (f *File) checkFast(addr uint64, size int, acc mem.AccessType, mode rv.Mode
 	if aLast < addr {
 		return false, false // wrap-around: let the scan handle it
 	}
-	// Find the segment containing addr: greatest k with segBase[k] <= addr
-	// (segment 0 starts at 0, so k is well-defined). Consecutive checks
-	// overwhelmingly land in the segment that answered the last one — the
-	// straight-line fetch stream, a superblock's data accesses — so a
-	// one-entry hint short-circuits the binary search.
-	lo := f.lastSeg
-	if lo >= f.nSeg || f.segBase[lo] > addr ||
-		(lo+1 < f.nSeg && f.segBase[lo+1] <= addr) {
-		hi := f.nSeg - 1
-		lo = 0
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if f.segBase[mid] <= addr {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
-		}
-		f.lastSeg = lo
-	}
+	lo := f.segment(addr)
 	m := -1 // lowest-numbered entry covering any byte of the access
 	for k := lo; k < f.nSeg && f.segBase[k] <= aLast; k++ {
 		if o := int(f.segOwner[k]); o >= 0 && (m < 0 || o < m) {
@@ -567,19 +536,72 @@ func (f *File) checkFast(addr uint64, size int, acc mem.AccessType, mode rv.Mode
 	if addr < f.regLo[m] || aLast > f.regLast[m] {
 		return false, true // partial match always faults
 	}
-	cfg := f.cfg[m]
+	return permits(f.cfg[m], acc, mode), true
+}
+
+// segment returns the index of the flattened segment containing addr: the
+// greatest k with segBase[k] <= addr (segment 0 starts at 0, so k is
+// well-defined). Consecutive lookups overwhelmingly land in the segment
+// that answered the last one — the straight-line fetch stream, a
+// superblock's data accesses — so a one-entry hint short-circuits the
+// binary search.
+func (f *File) segment(addr uint64) int {
+	lo := f.lastSeg
+	if lo < f.nSeg && f.segBase[lo] <= addr &&
+		(lo+1 >= f.nSeg || f.segBase[lo+1] > addr) {
+		return lo
+	}
+	hi := f.nSeg - 1
+	lo = 0
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		if f.segBase[mid] <= addr {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	f.lastSeg = lo
+	return lo
+}
+
+// permits applies a fully matching entry's cfg to an access.
+func permits(cfg byte, acc mem.AccessType, mode rv.Mode) bool {
 	if mode == rv.ModeM && cfg&CfgL == 0 {
-		return true, true
+		return true
 	}
 	switch acc {
 	case mem.Read:
-		return cfg&CfgR != 0, true
+		return cfg&CfgR != 0
 	case mem.Write:
-		return cfg&CfgW != 0, true
+		return cfg&CfgW != 0
 	case mem.Exec:
-		return cfg&CfgX != 0, true
+		return cfg&CfgX != 0
 	}
-	return false, true
+	return false
+}
+
+// PageAllows reports whether the 4KiB page at base (page-aligned) lies
+// wholly inside one flattened segment whose verdict allows acc in mode.
+// When it does, Check allows every access of that type and mode that
+// lies inside the page, for as long as the content id (Epoch) is
+// unchanged: the segment's owner is the lowest-numbered entry matching
+// any byte of such an access, and matches all of it, so no partial match
+// is possible. A page split by a sub-page region never qualifies. Callers
+// may cache a true result keyed on (page, Epoch, mode) in place of
+// per-access checks; such hits are not counted in Perf.Checks.
+func (f *File) PageAllows(base uint64, acc mem.AccessType, mode rv.Mode) bool {
+	if f.dirty {
+		f.identify()
+	}
+	k := f.segment(base)
+	if k+1 < f.nSeg && f.segBase[k+1] <= base+4095 {
+		return false
+	}
+	if m := f.segOwner[k]; m >= 0 {
+		return permits(f.cfg[m], acc, mode)
+	}
+	return mode == rv.ModeM || f.n == 0
 }
 
 // NAPOTAddr encodes the pmpaddr value covering the naturally aligned

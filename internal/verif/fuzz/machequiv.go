@@ -106,6 +106,7 @@ type MachineCase struct {
 	Fork    int    // the tier whose run is forked at K1
 	Loop    bool   // every program starts with a hot counted loop
 	Timer   bool   // mtimecmp programmed to cross mid-run
+	Sstc    bool   // menvcfg.STCE set, stimecmp near the current time
 	SMC     bool   // a base register points into the hart's own program
 	Progs   [][]uint32
 	Init    []machineHart
@@ -113,8 +114,8 @@ type MachineCase struct {
 }
 
 func (tc *MachineCase) String() string {
-	return fmt.Sprintf("machinecase{%s, harts=%d, frozen=%v, q=%d, k=%d+%d, fork=%s, loop=%v, timer=%v, smc=%v}",
-		tc.Profile, tc.Harts, tc.Frozen, tc.Quantum, tc.K1, tc.K2, tierNames[tc.Fork], tc.Loop, tc.Timer, tc.SMC)
+	return fmt.Sprintf("machinecase{%s, harts=%d, frozen=%v, q=%d, k=%d+%d, fork=%s, loop=%v, timer=%v, sstc=%v, smc=%v}",
+		tc.Profile, tc.Harts, tc.Frozen, tc.Quantum, tc.K1, tc.K2, tierNames[tc.Fork], tc.Loop, tc.Timer, tc.Sstc, tc.SMC)
 }
 
 // machineRig is one (profile, hart count, clock) configuration's pair of
@@ -145,12 +146,18 @@ func newMachineRig(profile string, harts int, frozen bool) (*machineRig, error) 
 		}
 		*dst = m
 	}
+	csrs := equivGenCSRs
+	if r.run.Cfg.HasSstc {
+		// Programs reprogram the S-level comparator mid-run, moving the
+		// superblock headroom's Sstc term.
+		csrs = append(csrs[:len(csrs):len(csrs)], asm.GenCSR{CSR: rv.CSRStimecmp, Forms: asm.FormsAll})
+	}
 	r.genCfg = asm.GenCfg{
 		Slots:      Slots,
 		DataRegs:   []int{10, 11, 12, 13, 14, 15},
 		BaseRegs:   []int{16, 17, 18},
 		BaseWindow: 2048,
-		CSRs:       equivGenCSRs,
+		CSRs:       csrs,
 		HFence:     r.run.Cfg.HasH,
 	}
 	return r, nil
@@ -216,6 +223,7 @@ func (r *machineRig) genCase(rng *rand.Rand, quantum uint64, fork int) *MachineC
 		Fork:    fork,
 		Loop:    rng.Intn(2) == 0,
 		Timer:   rng.Intn(2) == 0,
+		Sstc:    cfg.HasSstc && rng.Intn(4) != 0,
 		SMC:     rng.Intn(3) == 0,
 		Progs:   make([][]uint32, harts),
 		Init:    make([]machineHart, harts),
@@ -280,6 +288,16 @@ func (r *machineRig) genCase(rng *rand.Rand, quantum uint64, fork int) *MachineC
 		in.Mtimecmp = uint64(rng.Intn(48))
 		if tc.Loop {
 			in.Mtimecmp = 1 + uint64(rng.Intn(3))
+		}
+		if tc.Sstc {
+			// The Sstc comparator drives STIP from the clock directly: the
+			// pending check reads mtime only while STCE is set, and the
+			// superblock headroom and WFI batching bound blocks by it.
+			stimecmp := uint64(rng.Intn(48))
+			if tc.Loop {
+				stimecmp = 1 + uint64(rng.Intn(3))
+			}
+			in.CSRs = append(in.CSRs, csrInit{rv.CSRMenvcfg, 1 << 63}, csrInit{rv.CSRStimecmp, stimecmp})
 		}
 	}
 	// PLIC priorities, per-context enables and thresholds. No source is

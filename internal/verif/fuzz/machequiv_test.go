@@ -166,3 +166,35 @@ func TestSuperblockEquivalenceSmoke(t *testing.T) {
 	}
 	t.Logf("superblock equivalence: %d cases, %d steps, %d sb-retired", st.Cases, st.Steps, st.SBRetired)
 }
+
+// TestMachineCaseSeedsSstc: on the Sstc profile most cases turn the
+// S-level comparator on and place it near the current time, so the gate
+// runs the stimecmp paths of the pending check, the superblock headroom
+// and WFI batching; the boards' cases never do.
+func TestMachineCaseSeedsSstc(t *testing.T) {
+	for _, prof := range []string{"rva23", "visionfive2"} {
+		r, err := newMachineRig(prof, 1, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		var stce, near int
+		for c := 0; c < 40; c++ {
+			tc := r.genCase(rng, 64, tierInterp)
+			install(r.run, tc, tierInterp, hart.SchedSeq)
+			h := r.run.Harts[0]
+			if h.CSR.SstcEnabled() {
+				stce++
+				if h.CSR.Stimecmp < 48 {
+					near++
+				}
+			}
+		}
+		if prof == "rva23" && (stce < 20 || near != stce) {
+			t.Errorf("rva23: %d of 40 cases enable Sstc, %d with stimecmp near mtime", stce, near)
+		}
+		if prof != "rva23" && stce != 0 {
+			t.Errorf("%s: %d cases enable Sstc on a profile without it", prof, stce)
+		}
+	}
+}

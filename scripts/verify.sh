@@ -76,18 +76,23 @@ run_gate hext_lockstep go run ./cmd/fuzzdiff -hext -smoke
 
 echo "== equivalence (execution tiers x schedulers x forks, full-image diff)"
 # One gate for every host-side mechanism that must not change a machine's
-# end state. Per profile, 1000 closed N-hart cases (N in 1, 2, 4) each run
-# on the interpreter, the host caches and the superblock tier, cold and
-# forked mid-run, under the sequential and the quantum-parallel scheduler;
-# every end state is compared with hart.DiffImages (all harts, all CSRs,
-# devices, RAM, cycle counters) against the interpreter's cold run, and
-# frozen-clock cases also across schedulers. 1000 monitored lockstep cases
-# per profile then run with host caches on and off. The log lists the runs
-# compared in every tier/sched/fork cell.
-run_gate equiv go run ./cmd/fuzzdiff -equiv 1000
+# end state. Per profile (visionfive2, p550, and rva23, the Sstc profile),
+# 667 closed N-hart cases (N in 1, 2, 4) each run on the interpreter, the
+# host caches and the superblock tier, cold and forked mid-run, under the
+# sequential and the quantum-parallel scheduler; every end state is
+# compared with hart.DiffImages (all harts, all CSRs, devices, RAM, cycle
+# counters) against the interpreter's cold run, and frozen-clock cases
+# also across schedulers. 667 monitored lockstep cases per profile then run
+# with host caches on and off. The log lists the runs compared in every
+# tier/sched/fork cell. 3 x 667 keeps the total case budget of the
+# two-profile gate (2 x 1000).
+run_gate equiv go run ./cmd/fuzzdiff -equiv 667
 
 echo "== Table 4 host-throughput benchmark (compile-and-run gate)"
 run_gate bench_table4 go test ./internal/bench -run '^$' -bench BenchmarkTable4Operations -benchtime 1x
+
+echo "== 4-hart sequential-scheduler benchmark (compile-and-run gate)"
+run_gate bench_seq4 go test ./internal/bench -run '^$' -bench BenchmarkSchedSeq4Hart -benchtime 1x
 
 echo "== chaos smoke"
 run_gate chaos_smoke go run ./cmd/chaos -smoke
